@@ -52,7 +52,6 @@ from .intervals import (
     hull,
     in_weakly_toll_walk,
     interval,
-    interval_members,
     is_convex,
     is_extreme_vertex,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "hull",
     "in_weakly_toll_walk",
     "interval",
-    "interval_members",
     "is_clique",
     "is_complete",
     "is_connected",

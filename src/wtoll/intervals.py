@@ -7,6 +7,14 @@ of the graph minus the blocked set (N[u] - v_u) union (N[w] - v_w).
 Walk endpoints must be distinct and nonadjacent; adjacent pairs never
 generate anything.
 
+Whatever (v_u, v_w) is chosen, removing the blocked set leaves the same
+base B = G - (N[u] union N[w]) plus v_u and v_w. So the components of B
+are labelled once per endpoint pair (:class:`_BaseLabels`), and each
+(v_u, v_w) verdict is a few mask operations on touch(v_u) and
+touch(v_w), the unions of the base components adjacent to them. Both the
+per-vertex witness search and the per-pair walk masks read this one
+labelling.
+
 Everything here is pure. Per-pair walk masks are memoized on the Graph
 instance, which makes repeated interval/hull evaluations over overlapping
 pairs (subset searches, fixpoint iterations) cheap.
@@ -17,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, bits, component_mask
+from .graph import Graph, _check_subset, bits, component_mask
 
 __all__ = [
     "MembershipWitness",
@@ -50,14 +58,6 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
 
 
-def _check_set(g: Graph, s: Iterable[int]) -> int:
-    m = 0
-    for v in s:
-        _check_vertex(g, v)
-        m |= 1 << v
-    return m
-
-
 def blocked_set(g: Graph, u: int, w: int, v_u: int, v_w: int) -> frozenset[int]:
     """The set (N[u] - v_u) union (N[w] - v_w) removed when testing walks."""
     for x in (u, w, v_u, v_w):
@@ -70,15 +70,49 @@ def blocked_set(g: Graph, u: int, w: int, v_u: int, v_w: int) -> frozenset[int]:
         raise ValueError(f"{v_u} is not a neighbor of {u}")
     if not g.has_edge(w, v_w):
         raise ValueError(f"{v_w} is not a neighbor of {w}")
-    mask = _blocked_mask(g, u, w, v_u, v_w)
-    return frozenset(bits(mask))
-
-
-def _blocked_mask(g: Graph, u: int, w: int, v_u: int, v_w: int) -> int:
     masks = g._masks
     closed_u = masks[u] | (1 << u)
     closed_w = masks[w] | (1 << w)
-    return (closed_u & ~(1 << v_u)) | (closed_w & ~(1 << v_w))
+    return frozenset(bits((closed_u & ~(1 << v_u)) | (closed_w & ~(1 << v_w))))
+
+
+class _BaseLabels:
+    """Lazily labelled components of the base B = G - (N[u] union N[w]).
+
+    For a neighbor v_u of u and a neighbor v_w of w with v_u = v_w, or
+    with v_u not in N(w) and v_w not in N(u), the blocked set leaves
+    exactly B plus {v_u, v_w}; any other choice blocks v_u or v_w itself.
+    The component of v_u there is {v_u} union touch(v_u) when v_u = v_w,
+    and otherwise contains v_w iff v_u ~ v_w or touch(v_u) meets
+    touch(v_w), in which case it is {v_u, v_w} union touch(v_u) union
+    touch(v_w). A base component is swept the first time it is needed,
+    and never twice.
+    """
+
+    __slots__ = ("_masks", "base", "_comps")
+
+    def __init__(self, g: Graph, u: int, w: int):
+        masks = g._masks
+        self._masks = masks
+        self.base = g._full & ~(masks[u] | masks[w] | (1 << u) | (1 << w))
+        self._comps: list[int] = []  # the base components swept so far
+
+    def touch(self, y: int) -> int:
+        """Union of the base components adjacent to y."""
+        rest = self._masks[y] & self.base
+        t = 0
+        if rest:
+            for comp in self._comps:
+                if comp & rest:
+                    t |= comp
+                    rest &= ~comp
+            while rest:
+                start = (rest & -rest).bit_length() - 1
+                comp = component_mask(self._masks, self.base, start)
+                self._comps.append(comp)
+                t |= comp
+                rest &= ~comp
+        return t
 
 
 def in_weakly_toll_walk(g: Graph, u: int, w: int, v: int) -> MembershipWitness | None:
@@ -94,14 +128,20 @@ def in_weakly_toll_walk(g: Graph, u: int, w: int, v: int) -> MembershipWitness |
     if g.has_edge(u, w):
         raise ValueError("walk endpoints must be nonadjacent")
     masks = g._masks
-    full = g._full
-    for v_u in bits(masks[u]):
-        for v_w in bits(masks[w]):
-            blocked = _blocked_mask(g, u, w, v_u, v_w)
-            if blocked >> v_u & 1 or blocked >> v_w & 1:
-                continue
-            comp = component_mask(masks, full & ~blocked, v_u)
-            if comp >> v_w & 1 and comp >> v & 1:
+    mu, mw = masks[u], masks[w]
+    touch = _BaseLabels(g, u, w).touch
+    for v_u in bits(mu):
+        for v_w in bits(mw):
+            if v_u == v_w:
+                comp = (1 << v_u) | touch(v_u)
+            elif mw >> v_u & 1 or mu >> v_w & 1:
+                continue  # the blocked set contains v_u or v_w
+            else:
+                t_u, t_w = touch(v_u), touch(v_w)
+                if not (masks[v_u] >> v_w & 1 or t_u & t_w):
+                    continue
+                comp = (1 << v_u) | (1 << v_w) | t_u | t_w
+            if comp >> v & 1:
                 return MembershipWitness(v_u, v_w, frozenset(bits(comp)))
     return None
 
@@ -109,29 +149,45 @@ def in_weakly_toll_walk(g: Graph, u: int, w: int, v: int) -> MembershipWitness |
 def _pair_walk_mask(g: Graph, u: int, w: int) -> int:
     """Mask of all vertices on some weakly toll (u, w)-walk (u, w excluded).
 
-    Scans every (v_u, v_w) neighbor pair once and marks whole qualifying
-    components; equivalent to the per-vertex membership test but with a
-    single component sweep per pair. Memoized on the graph.
+    The union over qualifying (v_u, v_w) of their components (see
+    :class:`_BaseLabels`), taken per neighbor instead of per pair:
+    a common neighbor c contributes {c} union touch(c); a private
+    neighbor a of u (a in N(u) - N(w)) contributes {a} union touch(a) if
+    some private neighbor b of w is adjacent to it or shares a base
+    component with it, and private neighbors of w likewise. Each base
+    component is swept at most once, and only those adjacent to a common
+    neighbor, to a private neighbor of w, or to a qualifying private
+    neighbor of u are swept at all. Memoized on the graph.
     """
     key = (u, w) if u < w else (w, u)
     cached = g._pair_cache.get(key)
     if cached is not None:
         return cached
     masks = g._masks
-    full = g._full
-    target = full & ~(1 << u) & ~(1 << w)
-    marked = 0
-    for v_u in bits(masks[u]):
-        for v_w in bits(masks[w]):
-            blocked = _blocked_mask(g, u, w, v_u, v_w)
-            if blocked >> v_u & 1 or blocked >> v_w & 1:
-                continue
-            comp = component_mask(masks, full & ~blocked, v_u)
-            if comp >> v_w & 1:
-                marked |= comp
-                if marked == target:
-                    g._pair_cache[key] = marked
-                    return marked
+    mu, mw = masks[u], masks[w]
+    labels = _BaseLabels(g, u, w)
+    touch = labels.touch
+    common = mu & mw
+    marked = common
+    for c in bits(common):
+        marked |= touch(c)
+    priv_u, priv_w = mu & ~mw, mw & ~mu
+    if priv_u and priv_w:
+        near_u = 0  # base vertices adjacent to a private neighbor of u
+        for a in bits(priv_u):
+            near_u |= masks[a]
+        near_u &= labels.base
+        reach_w = priv_w  # private neighbors of w and their base components
+        for b in bits(priv_w):
+            t_b = touch(b)
+            reach_w |= t_b
+            # t_b is a union of whole components, so meeting near_u means
+            # sharing a component with some private neighbor of u
+            if masks[b] & priv_u or t_b & near_u:
+                marked |= (1 << b) | t_b
+        for a in bits(priv_u):
+            if masks[a] & reach_w:
+                marked |= (1 << a) | touch(a)
     g._pair_cache[key] = marked
     return marked
 
@@ -156,7 +212,7 @@ def _interval_mask(g: Graph, smask: int) -> int:
 def interval(g: Graph, s: Iterable[int]) -> frozenset[int]:
     """The weakly toll interval I(S): S plus every vertex on a weakly toll
     walk between two distinct nonadjacent vertices of S."""
-    return frozenset(bits(_interval_mask(g, _check_set(g, s))))
+    return frozenset(bits(_interval_mask(g, _check_subset(g, s))))
 
 
 def _hull_mask(g: Graph, smask: int) -> int:
@@ -171,12 +227,12 @@ def _hull_mask(g: Graph, smask: int) -> int:
 def hull(g: Graph, s: Iterable[int]) -> frozenset[int]:
     """The weakly toll convex hull H(S): least fixed point of the interval
     operator containing S."""
-    return frozenset(bits(_hull_mask(g, _check_set(g, s))))
+    return frozenset(bits(_hull_mask(g, _check_subset(g, s))))
 
 
 def is_convex(g: Graph, s: Iterable[int]) -> bool:
     """True iff I(S) = S."""
-    smask = _check_set(g, s)
+    smask = _check_subset(g, s)
     return _interval_mask(g, smask) == smask
 
 
@@ -229,31 +285,3 @@ def is_extreme_vertex(g: Graph, x: int) -> bool:
             if _pair_walk_mask(g, u, w) >> x & 1:
                 return False
     return True
-
-
-def interval_members(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """Interval computed with the per-vertex membership test.
-
-    Same contract as :func:`interval`; exists so the component-sweep
-    implementation can be cross-checked against the per-vertex one.
-    """
-    smask = _check_set(g, s)
-    sset = set(bits(smask))
-    out = set(sset)
-    members = sorted(sset)
-    for v in range(g.n):
-        if v in sset:
-            continue
-        found = False
-        for i, u in enumerate(members):
-            for w in members[i + 1:]:
-                if g.has_edge(u, w):
-                    continue
-                if in_weakly_toll_walk(g, u, w, v) is not None:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            out.add(v)
-    return frozenset(out)

@@ -16,7 +16,7 @@ from itertools import combinations
 from .atoms import decompose
 from .errors import CapExceededError, DisconnectedGraphError, InternalConsistencyError
 from .graph import Graph, bits, is_clique, is_complete, is_connected, mask_of
-from .intervals import _interval_mask, hull, is_extreme_vertex
+from .intervals import _hull_mask, _interval_mask, hull, is_extreme_vertex
 from .twins import TwinPartition, extreme_twin_classes, twin_classes
 
 __all__ = ["InvariantResult", "wtn", "wth", "brute_force_wtn", "brute_force_wth"]
@@ -38,18 +38,6 @@ def _require_connected(g: Graph) -> None:
 
 def _covers_by_interval(g: Graph, smask: int) -> bool:
     return _interval_mask(g, smask) == g._full
-
-
-def _covers_by_hull(g: Graph, smask: int) -> bool:
-    full = g._full
-    cur = smask
-    while True:
-        nxt = _interval_mask(g, cur)
-        if nxt == full:
-            return True
-        if nxt == cur:
-            return False
-        cur = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -265,4 +253,6 @@ def brute_force_wtn(g: Graph, cap: int = 10) -> InvariantResult:
 
 def brute_force_wth(g: Graph, cap: int = 10) -> InvariantResult:
     """Exact wth by subset enumeration in increasing cardinality."""
-    return _brute_force(g, _covers_by_hull, cap, "BRUTE_FORCE")
+    return _brute_force(
+        g, lambda g, smask: _hull_mask(g, smask) == g._full, cap, "BRUTE_FORCE"
+    )

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 import wtoll as w
-from wtoll.intervals import interval_members
 
+from _reference import interval_members
 from _strategies import graph_and_subset, graphs
 
 
