@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, DisconnectedGraphError, InternalConsistencyError
-from .graph import Graph, bits, component_mask, is_connected, mask_of
+from .errors import CapExceededError, InternalConsistencyError
+from .graph import Graph, _require_connected, bits, component_mask
 
 __all__ = [
     "AtomDecomposition",
@@ -42,27 +42,26 @@ class AtomDecomposition:
     partner: tuple[int | None, ...]
 
 
-def _require_connected(g: Graph) -> None:
-    if g.n == 0 or not is_connected(g):
-        raise DisconnectedGraphError("clique separator decomposition needs a connected graph")
+_DISCONNECTED = "clique separator decomposition needs a connected graph"
 
 
-def _mcs_m(g: Graph) -> tuple[list[int], list[set[int]], set[int]]:
-    """MCS-M: minimal elimination ordering, fill edges, separator generators.
+def _mcs_m(g: Graph) -> tuple[list[int], list[int], set[int]]:
+    """MCS-M: minimal elimination ordering, minimal triangulation, separator generators.
 
-    Returns (meo, h_adj, generators) where meo[0] is eliminated first and
-    h_adj is the adjacency of the minimal triangulation (original edges
-    plus fill). At each step the unnumbered vertex z of maximum weight is
-    numbered, and every unnumbered u reachable from z through unnumbered
-    interior vertices of weight strictly below weight(u) gets its weight
-    bumped and a fill edge to z. When the selected weight fails to exceed
-    the previously selected one, z's later triangulation neighborhood is a
-    minimal separator of the triangulation; those z make up ``generators``.
+    Returns (meo, h, generators) where meo[0] is eliminated first and h[v]
+    is the neighbor mask of v in the minimal triangulation H (original
+    edges plus fill). At each step the unnumbered vertex z of maximum
+    weight is numbered, and every unnumbered u reachable from z through
+    unnumbered interior vertices of weight strictly below weight(u) gets
+    its weight bumped and the edge zu in H. When the selected weight fails
+    to exceed the previously selected one, z's later neighborhood in H is a
+    minimal separator of H; those z make up ``generators``.
     """
     n = g.n
+    nbrs = [list(bits(m)) for m in g._masks]
     weight = [0] * n
     numbered = [False] * n
-    h_adj = [set(g.adjacency[v]) for v in range(n)]
+    h = list(g._masks)
     order_rev: list[int] = []
     generators: set[int] = set()
     prev_weight = -1
@@ -75,24 +74,25 @@ def _mcs_m(g: Graph) -> tuple[list[int], list[set[int]], set[int]]:
             generators.add(z)
         prev_weight = weight[z]
         numbered[z] = True
-        reached = _mcsm_reach(g, z, weight, numbered)
-        for u in reached:
+        for u in _mcsm_reach(nbrs, z, weight, numbered):
             weight[u] += 1
-            h_adj[z].add(u)
-            h_adj[u].add(z)
+            h[z] |= 1 << u
+            h[u] |= 1 << z
         order_rev.append(z)
-    return order_rev[::-1], h_adj, generators
+    return order_rev[::-1], h, generators
 
 
-def _mcsm_reach(g: Graph, z: int, weight: list[int], numbered: list[bool]) -> list[int]:
+def _mcsm_reach(
+    nbrs: list[list[int]], z: int, weight: list[int], numbered: list[bool]
+) -> list[int]:
     # min over z->u paths (unnumbered interior) of the max interior weight,
     # by a Dial-bucket min-max relaxation; u qualifies when that value is
     # below weight(u) (direct neighbors always qualify).
-    n = g.n
+    n = len(nbrs)
     inf = n + 1
     dist = [inf] * n
     buckets: list[list[int]] = [[] for _ in range(n + 2)]
-    for y in g.adjacency[z]:
+    for y in nbrs[z]:
         if not numbered[y]:
             dist[y] = -1
             buckets[0].append(y)
@@ -102,7 +102,7 @@ def _mcsm_reach(g: Graph, z: int, weight: list[int], numbered: list[bool]) -> li
             if dist[u] != du:
                 continue
             nd = max(du, weight[u])
-            for x in g.adjacency[u]:
+            for x in nbrs[u]:
                 if not numbered[x] and x != z and nd < dist[x]:
                     dist[x] = nd
                     buckets[nd + 1].append(x)
@@ -116,24 +116,22 @@ def decompose(g: Graph) -> AtomDecomposition:
     time: one MCS-M sweep plus one clique test and at most one component
     sweep per vertex.
     """
-    _require_connected(g)
+    _require_connected(g, _DISCONNECTED)
     masks = g._masks
-    meo, h_adj, generators = _mcs_m(g)
-    pos = [0] * g.n
-    for i, v in enumerate(meo):
-        pos[v] = i
+    meo, h, generators = _mcs_m(g)
+    later = g._full  # vertices not yet passed in the elimination ordering
     available = g._full
     pieces: list[int] = []
     for x in meo:
+        later &= ~(1 << x)
         if x not in generators:
             continue
-        sep = [y for y in h_adj[x] if pos[y] > pos[x]]
-        sep_mask = mask_of(sep)
+        sep_mask = h[x] & later
         if not available >> x & 1 or sep_mask & ~available:
             raise InternalConsistencyError(
                 "elimination ordering touched an already split-off vertex"
             )
-        if any(sep_mask & ~(1 << y) & ~masks[y] for y in sep):
+        if any(sep_mask & ~(1 << y) & ~masks[y] for y in bits(sep_mask)):
             continue  # a minimal separator of H but not a clique in g
         comp = component_mask(masks, available & ~sep_mask, x)
         region = comp | sep_mask
@@ -195,7 +193,7 @@ def extremal_atoms(d: AtomDecomposition) -> list[int]:
 def brute_force_atoms(g: Graph, cap: int = 12) -> list[frozenset[int]]:
     """Atoms by enumeration: maximal vertex sets inducing connected prime
     subgraphs. Exponential; testing oracle only."""
-    _require_connected(g)
+    _require_connected(g, _DISCONNECTED)
     if g.n > cap:
         raise CapExceededError(f"atom enumeration refused: n={g.n} exceeds cap {cap}")
     masks = g._masks

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .atoms import is_prime
-from .errors import CapExceededError, DisconnectedGraphError, InternalConsistencyError
-from .graph import Graph, is_complete, is_connected, max_clique, to_edge_list
+from .errors import CapExceededError, InternalConsistencyError
+from .graph import Graph, _require_connected, is_complete, max_clique, to_edge_list
 from .intervals import is_convex
 from .invariants import InvariantResult
 
@@ -44,8 +44,7 @@ def wtc_exact(g: Graph, cap: int = DEFAULT_WTC_CAP) -> InvariantResult:
     """
     if g.n < 2:
         raise ValueError("wtc needs at least 2 vertices")
-    if not is_connected(g):
-        raise DisconnectedGraphError("wtc is defined for connected graphs only")
+    _require_connected(g, "wtc is defined for connected graphs only")
     if is_complete(g):
         # every proper subset is convex; first size-(n-1) subset in order
         return _checked(g, InvariantResult(g.n - 1, frozenset(range(g.n - 1)), "COMPLETE"))

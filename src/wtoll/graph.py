@@ -1,9 +1,10 @@
 """Immutable simple undirected graphs over dense vertex ids 0..n-1.
 
-Adjacency is kept both as frozensets (public) and as int bitmasks
-(internal, bit i = vertex i), so neighborhood and component operations
-reduce to word-parallel integer arithmetic. All functions here are pure;
-a Graph never changes after construction and is safe to share.
+Adjacency is stored once, as one int neighbor mask per vertex (bit i =
+vertex i), so neighborhood and component operations reduce to
+word-parallel integer arithmetic. Neighbor sets, degrees and edge lists
+are read off the masks on demand. All functions here are pure; a Graph
+never changes after construction and is safe to share.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GraphParseError
+from .errors import DisconnectedGraphError, GraphParseError
 
 __all__ = [
     "Graph",
@@ -68,47 +69,46 @@ def component_mask(masks: Sequence[int], allowed: int, start: int) -> int:
 class Graph:
     """Finite simple undirected graph with vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "_adj", "_masks", "_full", "_pair_cache")
+    __slots__ = ("n", "m", "_masks", "_full", "_pair_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
-        self._masks: tuple[int, ...] = tuple(mask_of(a) for a in self._adj)
+        self._masks: tuple[int, ...] = tuple(masks)
         self._full = (1 << n) - 1
-        self.m = sum(len(a) for a in self._adj) // 2
+        self.m = sum(mask.bit_count() for mask in masks) // 2
         # lazily filled by wtoll.intervals; maps a nonadjacent pair (u, w)
         # with u < w to the mask of vertices on weakly toll (u, w)-walks
         self._pair_cache: dict[tuple[int, int], int] = {}
-
-    @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        return self._adj
 
     def vertices(self) -> range:
         return range(self.n)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(bits(self._masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return self._masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as sorted (u, v) pairs with u < v."""
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        return [
+            (u, v)
+            for u, mask in enumerate(self._masks)
+            for v in bits(mask >> (u + 1) << (u + 1))  # the neighbors above u
+        ]
 
     def neighbor_mask(self, v: int) -> int:
         return self._masks[v]
@@ -298,6 +298,12 @@ def is_connected(g: Graph) -> bool:
         return True
     comp = component_mask(g._masks, g._full, 0)
     return comp == g._full
+
+
+def _require_connected(g: Graph, message: str) -> None:
+    """Raise DisconnectedGraphError(message) unless g is nonempty and connected."""
+    if g.n == 0 or not is_connected(g):
+        raise DisconnectedGraphError(message)
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:

@@ -247,6 +247,24 @@ def _simplicial_mask(g: Graph) -> int:
     return mask
 
 
+def _surviving(g: Graph, candidates: int) -> int:
+    """The candidates that lie on no weakly toll walk between two other
+    vertices. Stops as soon as none is left; a pair is skipped when its
+    walk mask could only drop its own endpoints, which it never contains."""
+    n = g.n
+    for u in range(n):
+        if not candidates:
+            break
+        mu = g._masks[u]
+        for w in range(u + 1, n):
+            if mu >> w & 1 or not candidates & ~((1 << u) | (1 << w)):
+                continue
+            candidates &= ~_pair_walk_mask(g, u, w)
+            if not candidates:
+                break
+    return candidates
+
+
 def extreme_vertices(g: Graph) -> frozenset[int]:
     """Vertices x such that V - {x} is weakly toll convex.
 
@@ -255,18 +273,7 @@ def extreme_vertices(g: Graph) -> frozenset[int]:
     simplicial vertices first, then surviving ones are eliminated by
     scanning walk masks of nonadjacent pairs.
     """
-    candidates = _simplicial_mask(g)
-    for u in range(g.n):
-        if not candidates:
-            break
-        mu = g._masks[u]
-        for w in range(u + 1, g.n):
-            if mu >> w & 1:
-                continue
-            candidates &= ~_pair_walk_mask(g, u, w)
-            if not candidates:
-                break
-    return frozenset(bits(candidates))
+    return frozenset(bits(_surviving(g, _simplicial_mask(g))))
 
 
 def is_extreme_vertex(g: Graph, x: int) -> bool:
@@ -275,13 +282,4 @@ def is_extreme_vertex(g: Graph, x: int) -> bool:
     nb = g._masks[x]
     if any(nb & ~(1 << y) & ~g._masks[y] for y in bits(nb)):
         return False  # not simplicial: interior of a neighbor-pair walk
-    for u in range(g.n):
-        if u == x:
-            continue
-        mu = g._masks[u]
-        for w in range(u + 1, g.n):
-            if w == x or mu >> w & 1:
-                continue
-            if _pair_walk_mask(g, u, w) >> x & 1:
-                return False
-    return True
+    return _surviving(g, 1 << x) != 0

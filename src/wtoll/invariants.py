@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .atoms import decompose
-from .errors import CapExceededError, DisconnectedGraphError, InternalConsistencyError
-from .graph import Graph, bits, is_clique, is_complete, is_connected, mask_of
+from .errors import CapExceededError, InternalConsistencyError
+from .graph import Graph, _require_connected, bits, is_clique, is_complete, mask_of
 from .intervals import _hull_mask, _interval_mask, hull, is_extreme_vertex
 from .twins import TwinPartition, extreme_twin_classes, twin_classes
 
@@ -31,20 +31,14 @@ class InvariantResult:
     case_tag: str
 
 
-def _require_connected(g: Graph) -> None:
-    if g.n == 0 or not is_connected(g):
-        raise DisconnectedGraphError("invariant is defined for connected graphs only")
-
-
-def _covers_by_interval(g: Graph, smask: int) -> bool:
-    return _interval_mask(g, smask) == g._full
+_DISCONNECTED = "invariant is defined for connected graphs only"
 
 
 # ---------------------------------------------------------------------------
 # interval number
 # ---------------------------------------------------------------------------
 
-def wtn(g: Graph, prune_twins: bool = True) -> InvariantResult:
+def wtn(g: Graph) -> InvariantResult:
     """Minimum size of a set S with I(S) = V, with witness and case tag.
 
     Complete graphs force S = V. Otherwise, with k the number of twin
@@ -55,15 +49,14 @@ def wtn(g: Graph, prune_twins: bool = True) -> InvariantResult:
     increasing size and lexicographic order, so the result is
     deterministic.
 
-    With ``prune_twins`` (default) extras carry at most one vertex per
-    twin class, and every candidate R is completed to
-    R + (V - I(R-with-base)): because I(S) = S + I(S-hat), each interval
-    set shrinks onto such a completion, so scanning representatives plus
-    completions still finds the exact minimum while skipping the bulk of
-    the subset space. The unpruned search tries all bounded extras
-    literally; agreement of the two modes is part of the test suite.
+    Extras carry at most one vertex per twin class, and every candidate
+    R is completed to R + (V - I(R-with-base)): because I(S) = S +
+    I(S-hat), each interval set shrinks onto such a completion, so
+    scanning representatives plus completions still finds the exact
+    minimum while skipping the bulk of the subset space. The tests check
+    the value against the literal search over all bounded extras.
     """
-    _require_connected(g)
+    _require_connected(g, _DISCONNECTED)
     n = g.n
     everything = frozenset(range(n))
     if is_complete(g):
@@ -79,16 +72,6 @@ def wtn(g: Graph, prune_twins: bool = True) -> InvariantResult:
     lo, hi = {0: (2, 8), 1: (1, 5), 2: (0, 2)}[k]
     tag = f"WTN_K{k}"
     extra_pool = sorted(set(range(n)) - base)
-
-    if not prune_twins:
-        for size in range(lo, hi + 1):
-            for extra in combinations(extra_pool, size):
-                smask = base_mask | mask_of(extra)
-                if _covers_by_interval(g, smask):
-                    return InvariantResult(len(base) + size, base | frozenset(extra), tag)
-        raise InternalConsistencyError(
-            f"no weakly toll interval set found in the k={k} search window"
-        )
 
     best: tuple[int, int] | None = None  # (value, witness mask)
     for size in range(lo, hi + 1):
@@ -136,7 +119,7 @@ def wth(g: Graph) -> InvariantResult:
     canonically chosen exclusive vertices are extreme. Every witness is
     verified by computing its hull before returning.
     """
-    _require_connected(g)
+    _require_connected(g, _DISCONNECTED)
     n = g.n
     if is_complete(g):
         return _verified(g, InvariantResult(n, frozenset(range(n)), "COMPLETE"))
@@ -236,7 +219,7 @@ def _two_extremal_choice(
 # ---------------------------------------------------------------------------
 
 def _brute_force(g: Graph, covers, cap: int, tag: str) -> InvariantResult:
-    _require_connected(g)
+    _require_connected(g, _DISCONNECTED)
     if g.n > cap:
         raise CapExceededError(f"brute force refused: n={g.n} exceeds cap {cap}")
     for size in range(1, g.n + 1):
@@ -248,7 +231,9 @@ def _brute_force(g: Graph, covers, cap: int, tag: str) -> InvariantResult:
 
 def brute_force_wtn(g: Graph, cap: int = 10) -> InvariantResult:
     """Exact wtn by subset enumeration in increasing cardinality."""
-    return _brute_force(g, _covers_by_interval, cap, "BRUTE_FORCE")
+    return _brute_force(
+        g, lambda g, smask: _interval_mask(g, smask) == g._full, cap, "BRUTE_FORCE"
+    )
 
 
 def brute_force_wth(g: Graph, cap: int = 10) -> InvariantResult:

@@ -93,7 +93,7 @@ def oracle_membership(
         raise ValueError("walk endpoints must be nonadjacent")
 
     limit = 2 * g.n + 2 if max_len is None else max_len
-    adj = g.adjacency
+    adj = [g.neighbors(x) for x in range(g.n)]
     nbrs_u = adj[u]
     nbrs_w = adj[w]
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -54,11 +53,12 @@ def representatives(p: TwinPartition, s: Iterable[int]) -> frozenset[int]:
 def extreme_twin_classes(g: Graph, p: TwinPartition) -> list[int]:
     """Indices of twin classes whose members are all weakly toll extreme.
 
-    At most two such classes can exist; finding more means the membership
-    machinery is broken, so that is reported as an internal error rather
-    than returned. Extremeness is checked for every member; a class with
-    only some members extreme is not reported (and is surfaced as a
-    warning, since the solvers assume class-uniform extremeness).
+    Extremeness is uniform within a twin class: true twins x, x' have
+    N[x] = N[x'], so swapping them maps weakly toll walks onto weakly toll
+    walks. At most two such classes can exist. A class with only some
+    members extreme, or more than two extreme classes, means the
+    membership machinery is broken, so either is reported as an internal
+    error rather than returned.
     """
     if not is_connected(g):
         raise ValueError("extreme twin classes are defined for connected graphs")
@@ -68,11 +68,9 @@ def extreme_twin_classes(g: Graph, p: TwinPartition) -> list[int]:
     full = [i for i, cls in enumerate(p.classes) if cls <= ext]
     covered = frozenset().union(*(p.classes[i] for i in full)) if full else frozenset()
     if ext - covered:
-        warnings.warn(
+        raise InternalConsistencyError(
             f"extreme vertices {sorted(ext - covered)} sit in twin classes that "
-            "are not uniformly extreme",
-            RuntimeWarning,
-            stacklevel=2,
+            "are not uniformly extreme"
         )
     if len(full) > 2:
         raise InternalConsistencyError(

@@ -1,13 +1,22 @@
-"""Reference implementations of the walk-membership kernel for the tests.
+"""Reference implementations the library is checked against in the tests.
 
-These are the straightforward per-(v_u, v_w) versions of the component
-criterion: one component sweep of G minus the blocked set for every
-neighbor pair. The library's base-labelling kernel must agree with them
-bit for bit.
+- The walk-membership kernel: the straightforward per-(v_u, v_w) versions
+  of the component criterion, one component sweep of G minus the blocked
+  set for every neighbor pair. The library's base-labelling kernel must
+  agree with them bit for bit.
+- MCS-M on adjacency sets, with the triangulation kept as sets; the
+  library's bitmask MCS-M must return the same ordering, generators and
+  triangulation.
+- The literal wtn subset search, without twin pruning or completions.
 """
 
-from wtoll.graph import _check_subset, bits, component_mask
-from wtoll.intervals import MembershipWitness, in_weakly_toll_walk
+from itertools import combinations
+
+from wtoll.errors import InternalConsistencyError
+from wtoll.graph import _check_subset, bits, component_mask, is_complete, mask_of
+from wtoll.intervals import MembershipWitness, _interval_mask, in_weakly_toll_walk
+from wtoll.invariants import InvariantResult
+from wtoll.twins import extreme_twin_classes, twin_classes
 
 
 def _blocked_mask(masks, u, w, v_u, v_w):
@@ -72,3 +81,80 @@ def interval_members(g, s):
         if found:
             out.add(v)
     return frozenset(out)
+
+
+def reference_mcs_m(g):
+    """MCS-M with adjacency sets: (meo, h_adj as sets, generators)."""
+    n = g.n
+    adjacency = [g.neighbors(v) for v in range(n)]
+    weight = [0] * n
+    numbered = [False] * n
+    h_adj = [set(adjacency[v]) for v in range(n)]
+    order_rev = []
+    generators = set()
+    prev_weight = -1
+    for _ in range(n):
+        z = max(
+            (v for v in range(n) if not numbered[v]),
+            key=lambda v: (weight[v], -v),
+        )
+        if weight[z] <= prev_weight:
+            generators.add(z)
+        prev_weight = weight[z]
+        numbered[z] = True
+        reached = _reference_mcsm_reach(adjacency, z, weight, numbered)
+        for u in reached:
+            weight[u] += 1
+            h_adj[z].add(u)
+            h_adj[u].add(z)
+        order_rev.append(z)
+    return order_rev[::-1], h_adj, generators
+
+
+def _reference_mcsm_reach(adjacency, z, weight, numbered):
+    # min over z->u paths (unnumbered interior) of the max interior weight,
+    # by a Dial-bucket min-max relaxation; u qualifies when that value is
+    # below weight(u) (direct neighbors always qualify).
+    n = len(adjacency)
+    inf = n + 1
+    dist = [inf] * n
+    buckets = [[] for _ in range(n + 2)]
+    for y in adjacency[z]:
+        if not numbered[y]:
+            dist[y] = -1
+            buckets[0].append(y)
+    for d in range(n + 2):
+        for u in buckets[d]:
+            du = d - 1
+            if dist[u] != du:
+                continue
+            nd = max(du, weight[u])
+            for x in adjacency[u]:
+                if not numbered[x] and x != z and nd < dist[x]:
+                    dist[x] = nd
+                    buckets[nd + 1].append(x)
+    return [u for u in range(n) if dist[u] < weight[u]]
+
+
+def reference_wtn_unpruned(g):
+    """wtn by the literal bounded search: the forced extreme twin classes
+    plus every extra subset of the k-dependent window, in increasing size
+    and lexicographic order. Connected graphs only."""
+    n = g.n
+    if is_complete(g):
+        return InvariantResult(n, frozenset(range(n)), "COMPLETE")
+    part = twin_classes(g)
+    extreme_cls = extreme_twin_classes(g, part)
+    k = len(extreme_cls)
+    base = frozenset().union(*(part.classes[i] for i in extreme_cls))
+    base_mask = mask_of(base)
+    lo, hi = {0: (2, 8), 1: (1, 5), 2: (0, 2)}[k]
+    extra_pool = sorted(set(range(n)) - base)
+    for size in range(lo, hi + 1):
+        for extra in combinations(extra_pool, size):
+            smask = base_mask | mask_of(extra)
+            if _interval_mask(g, smask) == g._full:
+                return InvariantResult(len(base) + size, base | frozenset(extra), f"WTN_K{k}")
+    raise InternalConsistencyError(
+        f"no weakly toll interval set found in the k={k} search window"
+    )

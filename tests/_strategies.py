@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and fixed graph families shared by the tests."""
 
 from hypothesis import strategies as st
 
@@ -32,3 +32,21 @@ def graph_and_subset(draw, max_n=10):
     g = draw(graphs(max_n=max_n))
     s = frozenset(v for v in range(g.n) if draw(st.booleans()))
     return g, s
+
+
+def caterpillar(spine, legs):
+    """A path of ``spine`` vertices with ``legs`` pendant vertices on each."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for i in range(spine):
+        for k in range(legs):
+            edges.append((i, spine + i * legs + k))
+    return w.Graph(spine * (legs + 1), edges)
+
+
+def clique_chain(count, size):
+    """``count`` cliques K_size, consecutive ones sharing one cut vertex."""
+    edges = []
+    for c in range(count):
+        block = range(c * (size - 1), c * (size - 1) + size)
+        edges += [(a, b) for a in block for b in block if a < b]
+    return w.Graph(count * (size - 1) + 1, edges)

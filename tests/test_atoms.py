@@ -3,9 +3,11 @@ from hypothesis import given, settings
 
 import wtoll as w
 from wtoll import DisconnectedGraphError
-from wtoll.atoms import brute_force_atoms
+from wtoll.atoms import _mcs_m, brute_force_atoms
+from wtoll.graph import mask_of
 
-from _strategies import connected_graphs
+from _reference import reference_mcs_m
+from _strategies import caterpillar, clique_chain, connected_graphs
 
 
 def triangle_chain(k):
@@ -78,6 +80,40 @@ class TestDecompose:
         if len(d.atoms) >= 2:
             assert len(w.extremal_atoms(d)) >= 2
         assert w.is_prime(g) == (len(d.atoms) == 1)
+
+
+def _mcs_m_graphs():
+    yield from (w.gnp_graph(n, 4 / n, seed=n) for n in (40, 120, 300))
+    yield from (w.random_connected_gnp(n, 0.2, seed=n) for n in (20, 60))
+    yield w.path_graph(300)
+    yield caterpillar(100, 2)
+    yield clique_chain(100, 4)
+
+
+class TestMcsM:
+    """The bitmask MCS-M against the set-based reference."""
+
+    @staticmethod
+    def _assert_matches_reference(g):
+        meo, h, generators = _mcs_m(g)
+        ref_meo, ref_h, ref_generators = reference_mcs_m(g)
+        assert meo == ref_meo
+        assert generators == ref_generators
+        assert h == [mask_of(a) for a in ref_h]
+        # the separators decompose reads, against the old position test
+        pos = {v: i for i, v in enumerate(ref_meo)}
+        later = g._full
+        for x in meo:
+            later &= ~(1 << x)
+            assert h[x] & later == mask_of(y for y in ref_h[x] if pos[y] > pos[x])
+
+    def test_matches_reference_corpus(self, corpus):
+        for g in corpus:
+            self._assert_matches_reference(g)
+
+    def test_matches_reference_larger(self):
+        for g in _mcs_m_graphs():
+            self._assert_matches_reference(g)
 
 
 class TestExtremalAtoms:

@@ -1,4 +1,6 @@
+import hashlib
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,6 +9,8 @@ import wtoll as w
 from wtoll import Graph, GraphParseError
 
 from _strategies import graphs
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestParseEdgeList:
@@ -122,6 +126,30 @@ class TestGraphBasics:
     def test_edges_sorted(self):
         g = w.bowtie_graph()
         assert g.edges() == sorted(g.edges())
+
+    def test_accessors_match_networkx_corpus(self, corpus):
+        nx = pytest.importorskip("networkx")
+        lines = (DATA / "connected_upto7.g6").read_text().splitlines()
+        for g, line in zip(corpus, lines):
+            ref = nx.from_graph6_bytes(line.encode())
+            edges = sorted(tuple(sorted(e)) for e in ref.edges())
+            assert g.edges() == edges
+            assert g.m == len(edges)
+            assert w.to_edge_list(g) == f"{g.n} {len(edges)}\n" + "".join(
+                f"{u} {v}\n" for u, v in edges
+            )
+            for v in range(g.n):
+                assert g.neighbors(v) == frozenset(ref[v])
+                assert g.degree(v) == ref.degree(v)
+                for u in range(g.n):
+                    assert g.has_edge(u, v) == ref.has_edge(u, v)
+
+    def test_fingerprints_unchanged_corpus(self, corpus):
+        # sha256 over the corpus's newline-joined fingerprint() values
+        digest = hashlib.sha256("\n".join(g.fingerprint() for g in corpus).encode())
+        assert digest.hexdigest() == (
+            "73cafa1afdd363603855e827a2cf1de187a9f9a509eb03c9f9f2e65a2d5a049c"
+        )
 
 
 class TestConnectedComponents:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 import wtoll as w
+import wtoll.twins as twins
 
 from _strategies import graphs
 
@@ -105,4 +108,22 @@ class TestExtremeTwinClasses:
             idxs = w.extreme_twin_classes(g, part)
             assert len(idxs) <= 2
             covered = frozenset().union(*(part.classes[i] for i in idxs)) if idxs else frozenset()
-            assert covered == ext  # extremeness is class-uniform in practice
+            assert covered == ext
+
+    def test_extreme_vertices_are_unions_of_twin_classes(self, corpus):
+        # swapping true twins maps weakly toll walks onto weakly toll walks
+        rng = random.Random(17)
+        sampled = [
+            w.gnp_graph(rng.randint(8, 12), rng.choice((0.3, 0.5, 0.7)), seed=rng.randrange(10**6))
+            for _ in range(200)
+        ]
+        for g in [*corpus, *sampled]:
+            ext = w.extreme_vertices(g)
+            for cls in w.twin_classes(g).classes:
+                assert cls <= ext or not cls & ext
+
+    def test_mixed_class_is_internal_error(self, monkeypatch):
+        g = w.bowtie_graph()
+        monkeypatch.setattr(twins, "extreme_vertices", lambda g: frozenset({0, 3, 4}))
+        with pytest.raises(w.InternalConsistencyError, match=r"\[0\]"):
+            w.extreme_twin_classes(g, w.twin_classes(g))

@@ -9,6 +9,7 @@ import wtoll.intervals as intervals
 from wtoll.intervals import _pair_walk_mask
 
 from _reference import reference_in_weakly_toll_walk, reference_pair_walk_mask
+from _strategies import caterpillar, clique_chain
 
 
 def _nonadjacent_pairs(g):
@@ -27,28 +28,11 @@ def _random_graphs(count=300, max_n=12):
     ]
 
 
-def _caterpillar(spine, legs):
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    for i in range(spine):
-        for k in range(legs):
-            edges.append((i, spine + i * legs + k))
-    return w.Graph(spine * (legs + 1), edges)
-
-
-def _clique_chain(count, size):
-    # consecutive cliques share one cut vertex
-    edges = []
-    for c in range(count):
-        block = range(c * (size - 1), c * (size - 1) + size)
-        edges += [(a, b) for a in block for b in block if a < b]
-    return w.Graph(count * (size - 1) + 1, edges)
-
-
 LARGER = {
     "gnp60": w.random_connected_gnp(60, 0.3, seed=7),
     "path40": w.path_graph(40),
-    "caterpillar": _caterpillar(15, 2),
-    "clique_chain": _clique_chain(8, 4),
+    "caterpillar": caterpillar(15, 2),
+    "clique_chain": clique_chain(8, 4),
 }
 
 
