@@ -12,6 +12,7 @@ exponential recomputation ships alongside for testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import CapExceededError, InternalConsistencyError
 from .graph import Graph, _require_connected, bits, component_mask
@@ -31,8 +32,9 @@ class AtomDecomposition:
 
     ``shared[i]`` is the part of atom i lying in at least two atoms,
     ``exclusive[i]`` the rest. ``extremal[i]`` is set when one partner
-    atom (``partner[i]``) dominates every intersection of atom i, in
-    which case ``shared[i]`` equals that single intersection.
+    atom dominates every intersection of atom i, in which case
+    ``shared[i]`` equals that single intersection. ``partner[i]`` is the
+    least j != i whose atom contains ``shared[i]`` (None if there is none).
     """
 
     atoms: tuple[frozenset[int], ...]
@@ -50,78 +52,83 @@ def _mcs_m(g: Graph) -> tuple[list[int], list[int], set[int]]:
 
     Returns (meo, h, generators) where meo[0] is eliminated first and h[v]
     is the neighbor mask of v in the minimal triangulation H (original
-    edges plus fill). At each step the unnumbered vertex z of maximum
-    weight is numbered, and every unnumbered u reachable from z through
-    unnumbered interior vertices of weight strictly below weight(u) gets
-    its weight bumped and the edge zu in H. When the selected weight fails
-    to exceed the previously selected one, z's later neighborhood in H is a
-    minimal separator of H; those z make up ``generators``.
+    edges plus fill). The unnumbered vertices sit in weight buckets, one
+    mask per weight, and each step numbers z, the least vertex of the
+    highest non-empty bucket. An unnumbered u of weight j then gets its
+    weight bumped and the edge zu in H iff some path from z to u has all
+    its interior vertices unnumbered and of weight below j. One pass over
+    the weight levels j = 0, 1, ... finds every such u: it keeps
+    ``comp``, the unnumbered vertices of weight < j reachable from z
+    through unnumbered vertices of weight < j, so the vertices of weight j
+    that qualify are those in N(z) | N(comp); ``comp`` then grows through
+    the vertices of weight j. When the selected weight fails to exceed
+    the previously selected one, z's later neighborhood in H is a minimal
+    separator of H; those z make up ``generators``.
     """
     n = g.n
-    nbrs = [list(bits(m)) for m in g._masks]
-    weight = [0] * n
-    numbered = [False] * n
-    h = list(g._masks)
+    masks = g._masks
+    h = list(masks)
+    buckets = [g._full]  # buckets[w]: the unnumbered vertices of weight w
+    unnumbered = g._full
+    top = 0
     order_rev: list[int] = []
     generators: set[int] = set()
     prev_weight = -1
     for _ in range(n):
-        z = max(
-            (v for v in range(n) if not numbered[v]),
-            key=lambda v: (weight[v], -v),
-        )
-        if weight[z] <= prev_weight:
+        while not buckets[top]:
+            top -= 1
+        zbit = buckets[top] & -buckets[top]
+        z = zbit.bit_length() - 1
+        buckets[top] ^= zbit
+        unnumbered ^= zbit
+        if top <= prev_weight:
             generators.add(z)
-        prev_weight = weight[z]
-        numbered[z] = True
-        for u in _mcsm_reach(nbrs, z, weight, numbered):
-            weight[u] += 1
-            h[z] |= 1 << u
-            h[u] |= 1 << z
+        prev_weight = top
+        near = masks[z]  # N(z) | N(comp)
+        comp = 0
+        region = 0  # the unnumbered vertices of weight <= j
+        bumped = 0  # the qualifying vertices of weight j, moving to bucket j + 1
+        for j in range(top + 1):
+            level = buckets[j]
+            hit = level & near
+            buckets[j] = level ^ hit | bumped
+            bumped = hit
+            if hit:
+                h[z] |= hit
+                for u in bits(hit):
+                    h[u] |= zbit
+            region |= level
+            above = unnumbered & ~region
+            if not above:
+                break
+            frontier = hit  # near & region & ~comp, as comp is closed below j
+            while frontier:
+                comp |= frontier
+                while frontier:
+                    low = frontier & -frontier
+                    near |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = near & region & ~comp
+            if not near & above:
+                break
+        if bumped:
+            if j + 1 == len(buckets):
+                buckets.append(bumped)
+            else:
+                buckets[j + 1] |= bumped
+            top = max(top, j + 1)
         order_rev.append(z)
     return order_rev[::-1], h, generators
 
 
-def _mcsm_reach(
-    nbrs: list[list[int]], z: int, weight: list[int], numbered: list[bool]
-) -> list[int]:
-    # min over z->u paths (unnumbered interior) of the max interior weight,
-    # by a Dial-bucket min-max relaxation; u qualifies when that value is
-    # below weight(u) (direct neighbors always qualify).
-    n = len(nbrs)
-    inf = n + 1
-    dist = [inf] * n
-    buckets: list[list[int]] = [[] for _ in range(n + 2)]
-    for y in nbrs[z]:
-        if not numbered[y]:
-            dist[y] = -1
-            buckets[0].append(y)
-    for d in range(n + 2):
-        for u in buckets[d]:
-            du = d - 1
-            if dist[u] != du:
-                continue
-            nd = max(du, weight[u])
-            for x in nbrs[u]:
-                if not numbered[x] and x != z and nd < dist[x]:
-                    dist[x] = nd
-                    buckets[nd + 1].append(x)
-    return [u for u in range(n) if dist[u] < weight[u]]
-
-
-def decompose(g: Graph) -> AtomDecomposition:
-    """The unique set of maximal prime subgraphs of a connected graph.
-
-    Atoms are returned sorted by least member. Runs in O(nm)-flavored
-    time: one MCS-M sweep plus one clique test and at most one component
-    sweep per vertex.
-    """
+def _atom_masks(g: Graph) -> Iterator[int]:
+    """Yield the atoms of g as masks: each split region in the order the
+    separator walk finds it, then the remainder as the last atom."""
     _require_connected(g, _DISCONNECTED)
     masks = g._masks
     meo, h, generators = _mcs_m(g)
     later = g._full  # vertices not yet passed in the elimination ordering
     available = g._full
-    pieces: list[int] = []
     for x in meo:
         later &= ~(1 << x)
         if x not in generators:
@@ -136,51 +143,63 @@ def decompose(g: Graph) -> AtomDecomposition:
         comp = component_mask(masks, available & ~sep_mask, x)
         region = comp | sep_mask
         if region != available:
-            pieces.append(region)
+            yield region
             available &= ~comp
-    pieces.append(available)
-    return _annotate(sorted(pieces, key=lambda m: sorted(bits(m))))
+    yield available
+
+
+def decompose(g: Graph) -> AtomDecomposition:
+    """The unique set of maximal prime subgraphs of a connected graph.
+
+    Atoms are returned sorted by least member. The work is one MCS-M pass
+    (a reachability pass over the weight levels per vertex), one clique
+    test and at most one component sweep per vertex, and an annotation
+    that looks up each atom's partner among the atoms containing one of
+    its shared vertices.
+    """
+    pieces = sorted(_atom_masks(g), key=lambda m: sorted(bits(m)))
+    return _annotate(pieces)
 
 
 def _annotate(atom_masks: list[int]) -> AtomDecomposition:
-    k = len(atom_masks)
     in_two = 0
     seen = 0
     for m in atom_masks:
         in_two |= seen & m
         seen |= m
     shared_masks = [m & in_two for m in atom_masks]
-    extremal: list[bool] = []
+    # a shared vertex's atoms, ascending; an atom j dominates every
+    # intersection of atom i iff it contains shared[i], the union of them
+    containing: dict[int, list[int]] = {}
+    for t, s in enumerate(shared_masks):
+        for v in bits(s):
+            containing.setdefault(v, []).append(t)
     partner: list[int | None] = []
-    for i, mi in enumerate(atom_masks):
-        found: int | None = None
-        for j, mj in enumerate(atom_masks):
-            if j == i:
-                continue
-            dominating = mi & mj
-            if all(
-                mi & mk & ~dominating == 0
-                for t, mk in enumerate(atom_masks)
-                if t != i
-            ):
-                found = j
-                break
-        extremal.append(found is not None)
-        partner.append(found)
+    for i, s in enumerate(shared_masks):
+        # shared[i] is empty only when the graph is a single atom
+        candidates = min((containing[v] for v in bits(s)), key=len, default=())
+        partner.append(
+            next(
+                (j for j in candidates if j != i and not s & ~atom_masks[j]),
+                None,
+            )
+        )
     return AtomDecomposition(
         atoms=tuple(frozenset(bits(m)) for m in atom_masks),
         shared=tuple(frozenset(bits(m)) for m in shared_masks),
         exclusive=tuple(
             frozenset(bits(a & ~s)) for a, s in zip(atom_masks, shared_masks)
         ),
-        extremal=tuple(extremal),
+        extremal=tuple(j is not None for j in partner),
         partner=tuple(partner),
     )
 
 
 def is_prime(g: Graph) -> bool:
-    """True iff no clique of g separates g (i.e. g is its own single atom)."""
-    return len(decompose(g).atoms) == 1
+    """True iff no clique of g separates g (i.e. g is its own single atom).
+
+    Stops at the first clique separator the walk finds."""
+    return next(_atom_masks(g)) == g._full
 
 
 def extremal_atoms(d: AtomDecomposition) -> list[int]:

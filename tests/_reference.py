@@ -4,14 +4,19 @@
   of the component criterion, one component sweep of G minus the blocked
   set for every neighbor pair. The library's base-labelling kernel must
   agree with them bit for bit.
-- MCS-M on adjacency sets, with the triangulation kept as sets; the
-  library's bitmask MCS-M must return the same ordering, generators and
-  triangulation.
+- MCS-M on adjacency sets, with the triangulation kept as sets and a
+  Dial-bucket relaxation per vertex; the library's bucketed bitmask MCS-M
+  must return the same ordering, generators and triangulation.
+- The atom annotation by the direct triple loop: for each atom, the first
+  other atom whose intersection with it contains every other
+  intersection; the library's annotation must return the same
+  decomposition, partners included.
 - The literal wtn subset search, without twin pruning or completions.
 """
 
 from itertools import combinations
 
+from wtoll.atoms import AtomDecomposition
 from wtoll.errors import InternalConsistencyError
 from wtoll.graph import _check_subset, bits, component_mask, is_complete, mask_of
 from wtoll.intervals import MembershipWitness, _interval_mask, in_weakly_toll_walk
@@ -134,6 +139,43 @@ def _reference_mcsm_reach(adjacency, z, weight, numbered):
                     dist[x] = nd
                     buckets[nd + 1].append(x)
     return [u for u in range(n) if dist[u] < weight[u]]
+
+
+def reference_annotate(atom_masks):
+    """AtomDecomposition of the atoms ``atom_masks`` (sorted by least
+    member), by the triple loop over atoms, partners and intersections."""
+    in_two = 0
+    seen = 0
+    for m in atom_masks:
+        in_two |= seen & m
+        seen |= m
+    shared_masks = [m & in_two for m in atom_masks]
+    extremal = []
+    partner = []
+    for i, mi in enumerate(atom_masks):
+        found = None
+        for j, mj in enumerate(atom_masks):
+            if j == i:
+                continue
+            dominating = mi & mj
+            if all(
+                mi & mk & ~dominating == 0
+                for t, mk in enumerate(atom_masks)
+                if t != i
+            ):
+                found = j
+                break
+        extremal.append(found is not None)
+        partner.append(found)
+    return AtomDecomposition(
+        atoms=tuple(frozenset(bits(m)) for m in atom_masks),
+        shared=tuple(frozenset(bits(m)) for m in shared_masks),
+        exclusive=tuple(
+            frozenset(bits(a & ~s)) for a, s in zip(atom_masks, shared_masks)
+        ),
+        extremal=tuple(extremal),
+        partner=tuple(partner),
+    )
 
 
 def reference_wtn_unpruned(g):

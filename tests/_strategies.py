@@ -50,3 +50,14 @@ def clique_chain(count, size):
         block = range(c * (size - 1), c * (size - 1) + size)
         edges += [(a, b) for a in block for b in block if a < b]
     return w.Graph(count * (size - 1) + 1, edges)
+
+
+def giant_component(g):
+    """The largest connected component of g (the first one on a tie),
+    relabelled 0..k-1 in increasing vertex order."""
+    comp = sorted(max(w.connected_components(g), key=len))
+    index = {v: i for i, v in enumerate(comp)}
+    return w.Graph(
+        len(comp),
+        [(index[u], index[v]) for u, v in g.edges() if u in index and v in index],
+    )

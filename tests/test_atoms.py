@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,8 +9,8 @@ from wtoll import DisconnectedGraphError
 from wtoll.atoms import _mcs_m, brute_force_atoms
 from wtoll.graph import mask_of
 
-from _reference import reference_mcs_m
-from _strategies import caterpillar, clique_chain, connected_graphs
+from _reference import reference_annotate, reference_mcs_m
+from _strategies import caterpillar, clique_chain, connected_graphs, giant_component
 
 
 def triangle_chain(k):
@@ -88,6 +91,7 @@ def _mcs_m_graphs():
     yield w.path_graph(300)
     yield caterpillar(100, 2)
     yield clique_chain(100, 4)
+    yield giant_component(w.gnp_graph(1000, 4 / 1000, seed=1000))
 
 
 class TestMcsM:
@@ -114,6 +118,48 @@ class TestMcsM:
     def test_matches_reference_larger(self):
         for g in _mcs_m_graphs():
             self._assert_matches_reference(g)
+
+
+def _annotate_graphs():
+    rng = random.Random(2004)
+    for _ in range(200):
+        yield w.random_connected_gnp(
+            rng.randint(2, 12), rng.choice((0.15, 0.25, 0.4, 0.6)), seed=rng.randrange(10**6)
+        )
+    yield triangle_chain(6)
+    yield w.path_graph(40)
+    yield caterpillar(20, 2)
+    yield clique_chain(12, 4)
+
+
+class TestAnnotate:
+    """The indexed atom annotation against the triple-loop reference."""
+
+    @staticmethod
+    def _assert_matches_reference(g):
+        d = w.decompose(g)
+        assert d == reference_annotate([mask_of(a) for a in d.atoms])
+
+    def test_matches_reference_corpus(self, corpus):
+        for g in corpus:
+            self._assert_matches_reference(g)
+            assert w.is_prime(g) == (len(w.decompose(g).atoms) == 1)
+
+    def test_matches_reference_random_and_chains(self):
+        for g in _annotate_graphs():
+            self._assert_matches_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g", [w.path_graph(1000), caterpillar(500, 2)], ids=["path1000", "caterpillar500x2"]
+)
+def test_decompose_scales_to_long_chains(g):
+    # one atom per edge; an annotation cubic in the atom count takes minutes here
+    start = time.perf_counter()
+    d = w.decompose(g)
+    elapsed = time.perf_counter() - start
+    assert len(d.atoms) == g.n - 1
+    assert elapsed < 3.0
 
 
 class TestExtremalAtoms:
