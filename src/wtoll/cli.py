@@ -8,6 +8,7 @@ Every analysis command prints one JSON run report:
 ``--plain`` switches to short human-readable lines. Graph files are
 edge lists (`.el`, default) or graph6 (`.g6`), auto-detected by extension
 and overridable with ``--format``; the path ``-`` reads standard input.
+A graph6 input holds exactly one graph (blank lines aside).
 
 Exit codes: 0 success, 2 parse/argument error, 3 disconnected input where
 connectivity is required, 4 wtc cap exceeded.
@@ -24,7 +25,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .atoms import decompose
+from .atoms import AtomDecomposition, decompose
 from .convexity import DEFAULT_WTC_CAP, clique_reduction, reduction_edge_list, wtc_exact
 from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
 from .generators import (
@@ -37,8 +38,8 @@ from .generators import (
 )
 from .graph import Graph, parse_edge_list, parse_graph6, to_edge_list
 from .intervals import extreme_vertices, hull, interval
-from .invariants import wth, wtn
-from .twins import twin_classes
+from .invariants import InvariantResult, wth, wtn
+from .twins import TwinPartition, twin_classes
 
 __all__ = ["main", "entry"]
 
@@ -54,26 +55,13 @@ def _load_graph(path: str, fmt: str) -> Graph:
     if fmt == "auto":
         fmt = "g6" if path.endswith(".g6") else "el"
     if fmt == "g6":
-        for line in text.splitlines():
-            if line.strip():
-                return parse_graph6(line)
-        raise GraphParseError("empty graph6 input")
+        lines = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+        if not lines:
+            raise GraphParseError("empty graph6 input")
+        if len(lines) > 1:
+            raise GraphParseError("second graph; a graph6 input holds one graph", lines[1][0])
+        return parse_graph6(lines[0][1])
     return parse_edge_list(text)
-
-
-def _report(command: str, g: Graph, result: dict) -> dict:
-    return {
-        "command": command,
-        "input": {"n": g.n, "m": g.m, "hash": g.fingerprint()},
-        "result": result,
-    }
-
-
-def _emit(args: argparse.Namespace, report: dict, plain: str) -> None:
-    if args.plain:
-        print(plain)
-    else:
-        print(json.dumps(report, sort_keys=True))
 
 
 def _timed(fn, *fn_args):
@@ -82,76 +70,69 @@ def _timed(fn, *fn_args):
     return out, round((time.perf_counter() - t0) * 1000.0, 3)
 
 
-def _cmd_set_op(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph, args.format)
-    op = interval if args.command == "interval" else hull
-    result, ms = _timed(op, g, args.vertices)
-    payload = {"set": sorted(result), "size": len(result), "ms": ms}
-    _emit(args, _report(args.command, g, payload), " ".join(map(str, sorted(result))))
-    return 0
+def _set_out(command: str, s: frozenset[int]) -> tuple[dict, str]:
+    members = sorted(s)
+    return {"set": members, "size": len(members)}, " ".join(map(str, members))
 
 
-def _cmd_invariant(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph, args.format)
-    if args.command == "wtn":
-        res, ms = _timed(wtn, g)
-    elif args.command == "wth":
-        res, ms = _timed(wth, g)
-    else:
-        res, ms = _timed(wtc_exact, g, args.cap)
-    payload = {
-        "value": res.value,
-        "witness": sorted(res.witness),
-        "case_tag": res.case_tag,
-        "ms": ms,
-    }
+def _invariant_out(command: str, res: InvariantResult) -> tuple[dict, str]:
+    witness = sorted(res.witness)
+    payload = {"value": res.value, "witness": witness, "case_tag": res.case_tag}
     plain = (
-        f"{args.command} = {res.value} (case {res.case_tag}); "
-        f"witness: {' '.join(map(str, sorted(res.witness)))}"
+        f"{command} = {res.value} (case {res.case_tag}); "
+        f"witness: {' '.join(map(str, witness))}"
     )
-    _emit(args, _report(args.command, g, payload), plain)
-    return 0
+    return payload, plain
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph, args.format)
-    dec, ms = _timed(decompose, g)
+def _decompose_out(command: str, dec: AtomDecomposition) -> tuple[dict, str]:
     atoms = [
-        {
-            "vertices": sorted(a),
-            "shared": sorted(s),
-            "exclusive": sorted(e),
-            "extremal": x,
-        }
+        {"vertices": sorted(a), "shared": sorted(s), "exclusive": sorted(e), "extremal": x}
         for a, s, e, x in zip(dec.atoms, dec.shared, dec.exclusive, dec.extremal)
     ]
-    payload = {"atoms": atoms, "count": len(atoms), "ms": ms}
     plain = "\n".join(
         f"atom {i}: {{{' '.join(map(str, a['vertices']))}}}"
         f" shared={{{' '.join(map(str, a['shared']))}}}"
         f"{' extremal' if a['extremal'] else ''}"
         for i, a in enumerate(atoms)
     )
-    _emit(args, _report("decompose", g, payload), plain)
-    return 0
+    return {"atoms": atoms, "count": len(atoms)}, plain
 
 
-def _cmd_twins(args: argparse.Namespace) -> int:
+def _twins_out(command: str, part: TwinPartition) -> tuple[dict, str]:
+    classes = [sorted(c) for c in part.classes]
+    plain = "\n".join(f"class {i}: {' '.join(map(str, c))}" for i, c in enumerate(classes))
+    return {"classes": classes}, plain
+
+
+# command -> (help, run, out). ``run(g, args)`` names the library function
+# at call time, so a function swapped into this module's globals (a tracer,
+# a test double) is the one that runs; ``out(command, result)`` returns the
+# report payload, which the runner completes with "ms", and the --plain text.
+_ANALYSES = {
+    "interval": ("weakly toll interval I(S)", lambda g, a: interval(g, a.vertices), _set_out),
+    "hull": ("weakly toll hull H(S)", lambda g, a: hull(g, a.vertices), _set_out),
+    "wtn": ("weakly toll interval number", lambda g, a: wtn(g), _invariant_out),
+    "wth": ("weakly toll hull number", lambda g, a: wth(g), _invariant_out),
+    "wtc": ("weakly toll convexity number", lambda g, a: wtc_exact(g, a.cap), _invariant_out),
+    "decompose": ("maximal prime subgraphs (atoms)", lambda g, a: decompose(g), _decompose_out),
+    "twins": ("true-twin classes", lambda g, a: twin_classes(g), _twins_out),
+    "extreme": ("weakly toll extreme vertices", lambda g, a: extreme_vertices(g), _set_out),
+}
+
+
+def _cmd_analysis(args: argparse.Namespace) -> int:
+    _, run, out = _ANALYSES[args.command]
     g = _load_graph(args.graph, args.format)
-    part, ms = _timed(twin_classes, g)
-    payload = {"classes": [sorted(c) for c in part.classes], "ms": ms}
-    plain = "\n".join(
-        f"class {i}: {' '.join(map(str, sorted(c)))}" for i, c in enumerate(part.classes)
-    )
-    _emit(args, _report("twins", g, payload), plain)
-    return 0
-
-
-def _cmd_extreme(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph, args.format)
-    ext, ms = _timed(extreme_vertices, g)
-    payload = {"set": sorted(ext), "size": len(ext), "ms": ms}
-    _emit(args, _report("extreme", g, payload), " ".join(map(str, sorted(ext))))
+    result, ms = _timed(run, g, args)
+    payload, plain = out(args.command, result)
+    payload["ms"] = ms
+    report = {
+        "command": args.command,
+        "input": {"n": g.n, "m": g.m, "hash": g.fingerprint()},
+        "result": payload,
+    }
+    print(plain if args.plain else json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -252,19 +233,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, doc in (("interval", "weakly toll interval I(S)"), ("hull", "weakly toll hull H(S)")):
+    for name, (doc, _, _) in _ANALYSES.items():
         p = sub.add_parser(name, help=doc, parents=[common])
         p.add_argument("graph")
-        p.add_argument("vertices", nargs="+", type=int)
-        p.set_defaults(func=_cmd_set_op)
-
-    for name, doc in (
-        ("wtn", "weakly toll interval number"),
-        ("wth", "weakly toll hull number"),
-        ("wtc", "weakly toll convexity number"),
-    ):
-        p = sub.add_parser(name, help=doc, parents=[common])
-        p.add_argument("graph")
+        if name in ("interval", "hull"):
+            p.add_argument("vertices", nargs="+", type=int)
         if name == "wtc":
             p.add_argument(
                 "--cap",
@@ -272,16 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=DEFAULT_WTC_CAP,
                 help="max n for the exhaustive search on reducible graphs",
             )
-        p.set_defaults(func=_cmd_invariant)
-
-    for name, doc, func in (
-        ("decompose", "maximal prime subgraphs (atoms)", _cmd_decompose),
-        ("twins", "true-twin classes", _cmd_twins),
-        ("extreme", "weakly toll extreme vertices", _cmd_extreme),
-    ):
-        p = sub.add_parser(name, help=doc, parents=[common])
-        p.add_argument("graph")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_analysis)
 
     p = sub.add_parser("generate", help="emit a graph from a named family", parents=[common])
     p.add_argument(

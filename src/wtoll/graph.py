@@ -1,10 +1,12 @@
-"""Immutable simple undirected graphs over dense vertex ids 0..n-1.
+"""Simple undirected graphs over dense vertex ids 0..n-1.
 
 Adjacency is stored once, as one int neighbor mask per vertex (bit i =
 vertex i), so neighborhood and component operations reduce to
 word-parallel integer arithmetic. Neighbor sets, degrees and edge lists
-are read off the masks on demand. All functions here are pure; a Graph
-never changes after construction and is safe to share.
+are read off the masks on demand. All functions here are pure. A Graph's
+adjacency never changes after construction; its one mutable slot, the
+pair memo ``_pair_cache``, is filled by :mod:`wtoll.intervals` and holds
+at most one walk mask per nonadjacent pair.
 """
 
 from __future__ import annotations

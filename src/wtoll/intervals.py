@@ -53,15 +53,9 @@ class MembershipWitness:
     component: frozenset[int]
 
 
-def _check_vertex(g: Graph, v: int) -> None:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-
-
 def blocked_set(g: Graph, u: int, w: int, v_u: int, v_w: int) -> frozenset[int]:
     """The set (N[u] - v_u) union (N[w] - v_w) removed when testing walks."""
-    for x in (u, w, v_u, v_w):
-        _check_vertex(g, x)
+    _check_subset(g, (u, w, v_u, v_w))
     if u == w:
         raise ValueError("walk endpoints must be distinct")
     if g.has_edge(u, w):
@@ -121,8 +115,7 @@ def in_weakly_toll_walk(g: Graph, u: int, w: int, v: int) -> MembershipWitness |
     Neighbor pairs (v_u, v_w) are scanned in ascending lexicographic order,
     so the returned witness is deterministic.
     """
-    for x in (u, w, v):
-        _check_vertex(g, x)
+    _check_subset(g, (u, w, v))
     if len({u, w, v}) != 3:
         raise ValueError("u, w, v must be pairwise distinct")
     if g.has_edge(u, w):
@@ -278,7 +271,7 @@ def extreme_vertices(g: Graph) -> frozenset[int]:
 
 def is_extreme_vertex(g: Graph, x: int) -> bool:
     """Membership test for :func:`extreme_vertices`, with early exit."""
-    _check_vertex(g, x)
+    _check_subset(g, (x,))
     nb = g._masks[x]
     if any(nb & ~(1 << y) & ~g._masks[y] for y in bits(nb)):
         return False  # not simplicial: interior of a neighbor-pair walk

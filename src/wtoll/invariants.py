@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .atoms import decompose
+from .atoms import decompose, extremal_atoms
 from .errors import CapExceededError, InternalConsistencyError
 from .graph import Graph, _require_connected, bits, is_clique, is_complete, mask_of
 from .intervals import _hull_mask, _interval_mask, hull, is_extreme_vertex
-from .twins import TwinPartition, extreme_twin_classes, twin_classes
+from .twins import extreme_twin_classes, twin_classes
 
 __all__ = ["InvariantResult", "wtn", "wth", "brute_force_wtn", "brute_force_wth"]
 
@@ -49,38 +49,39 @@ def wtn(g: Graph) -> InvariantResult:
     increasing size and lexicographic order, so the result is
     deterministic.
 
-    Extras carry at most one vertex per twin class, and every candidate
-    R is completed to R + (V - I(R-with-base)): because I(S) = S +
-    I(S-hat), each interval set shrinks onto such a completion, so
-    scanning representatives plus completions still finds the exact
-    minimum while skipping the bulk of the subset space. The tests check
-    the value against the literal search over all bounded extras.
+    Extras are drawn from a pool of one vertex per twin class outside the
+    forced set, the class's least member, and every candidate R is
+    completed to R + (V - I(R-with-base)): because I(S) = S + I(S-hat),
+    each interval set shrinks onto such a completion, so scanning
+    representatives plus completions still finds the exact minimum while
+    skipping the bulk of the subset space. The pool loses nothing:
+    swapping true twins is an automorphism and the forced set is a union
+    of whole classes, so replacing each extra by its class's least member
+    gives a candidate of the same size, no later in lexicographic order,
+    whose completion has the same size. The tests check the value against
+    the literal search over all bounded extras, and the whole result
+    against the search over every twin-free set of extras.
     """
     _require_connected(g, _DISCONNECTED)
     n = g.n
-    everything = frozenset(range(n))
     if is_complete(g):
-        return InvariantResult(n, everything, "COMPLETE")
+        return InvariantResult(n, frozenset(range(n)), "COMPLETE")
 
     part = twin_classes(g)
     extreme_cls = extreme_twin_classes(g, part)
     k = len(extreme_cls)
-    base: frozenset[int] = frozenset().union(
-        *(part.classes[i] for i in extreme_cls)
-    ) if extreme_cls else frozenset()
-    base_mask = mask_of(base)
+    base_mask = mask_of(v for i in extreme_cls for v in part.classes[i])
+    # classes are ordered by least member, so the pool is ascending
+    pool = [min(cls) for i, cls in enumerate(part.classes) if i not in extreme_cls]
     lo, hi = {0: (2, 8), 1: (1, 5), 2: (0, 2)}[k]
     tag = f"WTN_K{k}"
-    extra_pool = sorted(set(range(n)) - base)
 
     best: tuple[int, int] | None = None  # (value, witness mask)
     for size in range(lo, hi + 1):
-        floor = len(base) + size
+        floor = base_mask.bit_count() + size
         if best is not None and floor >= best[0]:
             break
-        for extra in combinations(extra_pool, size):
-            if _twin_duplicate(extra, part):
-                continue
+        for extra in combinations(pool, size):
             rmask = base_mask | mask_of(extra)
             smask = rmask | (g._full & ~_interval_mask(g, rmask))
             value = smask.bit_count()
@@ -93,16 +94,6 @@ def wtn(g: Graph) -> InvariantResult:
             f"no weakly toll interval set found in the k={k} search window"
         )
     return InvariantResult(best[0], frozenset(bits(best[1])), tag)
-
-
-def _twin_duplicate(extra: tuple[int, ...], part: TwinPartition) -> bool:
-    seen: set[int] = set()
-    for v in extra:
-        idx = part.class_of[v]
-        if idx in seen:
-            return True
-        seen.add(idx)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +120,7 @@ def wth(g: Graph) -> InvariantResult:
         pair = _least_nonadjacent_pair(g)
         return _verified(g, InvariantResult(2, frozenset(pair), "PRIME_PAIR"))
 
-    extremal = [i for i, flag in enumerate(dec.extremal) if flag]
+    extremal = extremal_atoms(dec)
     if len(extremal) < 2:
         raise InternalConsistencyError(
             "reducible graph produced fewer than two extremal atoms"

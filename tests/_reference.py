@@ -12,6 +12,10 @@
   intersection; the library's annotation must return the same
   decomposition, partners included.
 - The literal wtn subset search, without twin pruning or completions.
+- The wtn search over every set of extras holding at most one vertex per
+  twin class, skipping the others one by one; the library's search over
+  one representative per class must return the same value, witness and
+  case tag.
 """
 
 from itertools import combinations
@@ -200,3 +204,40 @@ def reference_wtn_unpruned(g):
     raise InternalConsistencyError(
         f"no weakly toll interval set found in the k={k} search window"
     )
+
+
+def reference_wtn_twin_filter(g):
+    """wtn by the completion search over every extra subset of the window,
+    skipping those that hold two vertices of one twin class. Connected
+    graphs only."""
+    n = g.n
+    everything = frozenset(range(n))
+    if is_complete(g):
+        return InvariantResult(n, everything, "COMPLETE")
+    part = twin_classes(g)
+    extreme_cls = extreme_twin_classes(g, part)
+    k = len(extreme_cls)
+    base = frozenset().union(*(part.classes[i] for i in extreme_cls))
+    base_mask = mask_of(base)
+    lo, hi = {0: (2, 8), 1: (1, 5), 2: (0, 2)}[k]
+    extra_pool = sorted(everything - base)
+    best = None  # (value, witness mask)
+    for size in range(lo, hi + 1):
+        floor = len(base) + size
+        if best is not None and floor >= best[0]:
+            break
+        for extra in combinations(extra_pool, size):
+            if len({part.class_of[v] for v in extra}) < size:
+                continue  # two twins among the extras
+            rmask = base_mask | mask_of(extra)
+            smask = rmask | (g._full & ~_interval_mask(g, rmask))
+            value = smask.bit_count()
+            if best is None or value < best[0]:
+                best = (value, smask)
+                if value == floor:
+                    break
+    if best is None:
+        raise InternalConsistencyError(
+            f"no weakly toll interval set found in the k={k} search window"
+        )
+    return InvariantResult(best[0], frozenset(bits(best[1])), f"WTN_K{k}")

@@ -117,6 +117,16 @@ class TestReports:
             ("interval_p4", ["interval", "{p4}", "0", "3"]),
             ("wth_bowtie", ["wth", "{bowtie}"]),
             ("decompose_bowtie", ["decompose", "{bowtie}"]),
+            ("hull_p4", ["hull", "{p4}", "0", "2"]),
+            ("wtc_bowtie", ["wtc", "{bowtie}"]),
+            ("twins_bowtie", ["twins", "{bowtie}"]),
+            ("extreme_bowtie", ["extreme", "{bowtie}"]),
+            # one --plain case per formatter: sets, invariants, atoms, twin classes
+            ("interval_p4", ["interval", "{p4}", "0", "3", "--plain"]),
+            ("wth_bowtie", ["wth", "{bowtie}", "--plain"]),
+            ("decompose_bowtie", ["decompose", "{bowtie}", "--plain"]),
+            ("twins_bowtie", ["twins", "{bowtie}", "--plain"]),
+            ("extreme_p4", ["extreme", "{p4}", "--plain"]),
         ],
     )
     def test_golden_reports(self, tmp_path, golden, argv):
@@ -131,12 +141,49 @@ class TestReports:
         argv = [a.format(p4=files["p4"], bowtie=files["bowtie"]) for a in argv]
         code, out, _ = run(argv)
         assert code == 0
+        if "--plain" in argv:
+            golden_text = Path(__file__).parent / "data" / "golden" / f"{golden}.txt"
+            assert out == golden_text.read_text()
+            return
         report = json.loads(out)
         report["result"]["ms"] = None  # timing is the one unpinned field
         expected = json.loads(
             (Path(__file__).parent / "data" / "golden" / f"{golden}.json").read_text()
         )
         assert report == expected
+
+
+# every library function the CLI calls, by its name in wtoll.cli, and an
+# argv that reaches it
+CLI_CALLS = [
+    ("interval", ["interval", "{p4}", "0", "3"]),
+    ("hull", ["hull", "{p4}", "0", "2"]),
+    ("wtn", ["wtn", "{p4}"]),
+    ("wth", ["wth", "{p4}"]),
+    ("wtc_exact", ["wtc", "{p4}"]),
+    ("decompose", ["decompose", "{p4}"]),
+    ("twin_classes", ["twins", "{p4}"]),
+    ("extreme_vertices", ["extreme", "{p4}"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", CLI_CALLS, ids=[name for name, _ in CLI_CALLS])
+def test_commands_call_the_module_globals(p4_file, monkeypatch, name, argv):
+    # a tracer or a test double swaps these names on wtoll.cli; a command
+    # holding the function it imported would bypass the swap
+    import wtoll.cli
+
+    calls = []
+    real = getattr(wtoll.cli, name)
+
+    def recording(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wtoll.cli, name, recording)
+    code, _, _ = run([p4_file if a == "{p4}" else a for a in argv])
+    assert code == 0
+    assert calls == [name]
 
 
 class TestFormatsAndInput:
@@ -151,6 +198,19 @@ class TestFormatsAndInput:
         path.write_text(w.to_graph6(w.cycle_graph(5)) + "\n")
         code, out, _ = run(["extreme", str(path), "--format", "g6"])
         assert code == 0 and json.loads(out)["result"]["set"] == []
+
+    def test_graph6_with_two_graphs_is_2(self, tmp_path):
+        path = tmp_path / "two.g6"
+        path.write_text(w.to_graph6(w.cycle_graph(5)) + "\n" + w.to_graph6(w.path_graph(4)) + "\n")
+        code, out, err = run(["wth", str(path)])
+        assert code == 2 and out == ""
+        assert "line 2" in err
+
+    def test_graph6_with_trailing_blank_lines(self, tmp_path):
+        path = tmp_path / "c5.g6"
+        path.write_text(w.to_graph6(w.cycle_graph(5)) + "\n\n  \n")
+        code, out, _ = run(["wth", str(path)])
+        assert code == 0 and json.loads(out)["result"]["value"] == 2
 
     def test_stdin(self):
         code, out, _ = run(["wtn", "-"], stdin=w.to_edge_list(w.path_graph(4)))

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 import wtoll as w
 from wtoll import CapExceededError, DisconnectedGraphError
 
-from _reference import reference_wtn_unpruned
+from _reference import reference_wtn_twin_filter, reference_wtn_unpruned
+from _strategies import caterpillar, clique_chain
 
 
 class TestWtn:
@@ -50,6 +53,40 @@ class TestWtn:
     def test_deterministic(self):
         g = w.random_connected_gnp(9, 0.3, seed=5)
         assert w.wtn(g) == w.wtn(g)
+
+
+def _twin_pool_graphs():
+    rng = random.Random(2005)
+    for _ in range(200):
+        yield w.random_connected_gnp(
+            rng.randint(2, 12), rng.choice((0.2, 0.35, 0.5, 0.7)), seed=rng.randrange(10**6)
+        )
+    # clique chains have twin classes of two or more members; caterpillars
+    # have only singleton classes and search the widest (k = 0) window
+    for count in (2, 3, 5):
+        for size in (3, 4, 5):
+            yield clique_chain(count, size)
+    for spine in (3, 5, 8):
+        for legs in (1, 2):
+            yield caterpillar(spine, legs)
+
+
+class TestWtnTwinPool:
+    """The search over one representative per twin class against the
+    search over all extras, skipping those holding two twins."""
+
+    @staticmethod
+    def _assert_matches_reference(g):
+        # the reference runs on a copy, so it shares no pair memo with wtn
+        assert w.wtn(g) == reference_wtn_twin_filter(w.Graph(g.n, g.edges()))
+
+    def test_matches_reference_corpus(self, corpus):
+        for g in corpus:
+            self._assert_matches_reference(g)
+
+    def test_matches_reference_random_and_chains(self):
+        for g in _twin_pool_graphs():
+            self._assert_matches_reference(g)
 
 
 class TestWth:
