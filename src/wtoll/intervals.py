@@ -15,6 +15,12 @@ touch(v_w), the unions of the base components adjacent to them. Both the
 per-vertex witness search and the per-pair walk masks read this one
 labelling.
 
+Extreme vertices need no walk masks at all. A vertex x is extreme iff
+every BFS layer L_0 = {x}, L_1 = N(x), L_2, ... of its component is a
+clique and no layer L_i (i >= 2) holds vertices u != v where v has a
+neighbor in L_{i-1} and one in L_{i+1}, both outside N(u); the proof is
+in :func:`extreme_vertices`. So each candidate costs one bitmask BFS.
+
 Everything here is pure. Per-pair walk masks are memoized on the Graph
 instance, which makes repeated interval/hull evaluations over overlapping
 pairs (subset searches, fixpoint iterations) cheap.
@@ -240,39 +246,85 @@ def _simplicial_mask(g: Graph) -> int:
     return mask
 
 
-def _surviving(g: Graph, candidates: int) -> int:
-    """The candidates that lie on no weakly toll walk between two other
-    vertices. Stops as soon as none is left; a pair is skipped when its
-    walk mask could only drop its own endpoints, which it never contains."""
-    n = g.n
-    for u in range(n):
-        if not candidates:
-            break
-        mu = g._masks[u]
-        for w in range(u + 1, n):
-            if mu >> w & 1 or not candidates & ~((1 << u) | (1 << w)):
-                continue
-            candidates &= ~_pair_walk_mask(g, u, w)
-            if not candidates:
-                break
-    return candidates
+def _is_extreme(masks: list[int], x: int) -> bool:
+    """The layer test of :func:`extreme_vertices` for one vertex x.
+
+    One BFS from x over neighbor masks. It stops at the first layer that
+    is not a clique (layer 1 first, so a vertex that is not simplicial
+    costs one layer). Condition 2 is read per vertex v of a layer L_i:
+    the vertices u of L_i with a neighbor p of v in L_{i-1} outside N(u)
+    are L_i minus the intersection of those N(p), which never holds v;
+    likewise upwards; x fails iff the two sets meet. At i = 1 they never
+    do, as L_1 lies in N(x). So each layer costs one pass over the edges
+    leaving it, and no pair walk mask is made.
+    """
+    prev, layer = 1 << x, masks[x]
+    seen = prev | layer
+    while layer:
+        reach = 0
+        for v in bits(layer):
+            if layer & ~(masks[v] | 1 << v):
+                return False  # condition 1: the layer is not a clique
+            reach |= masks[v]
+        nxt = reach & ~seen
+        for v in bits(layer):
+            far_down = 0
+            for p in bits(masks[v] & prev):
+                far_down |= layer & ~masks[p]
+            if far_down:
+                far_up = 0
+                for s in bits(masks[v] & nxt):
+                    far_up |= layer & ~masks[s]
+                if far_down & far_up:
+                    return False  # condition 2: a walk u v p ... x ... p v s
+        seen |= nxt
+        prev, layer = layer, nxt
+    return True
 
 
 def extreme_vertices(g: Graph) -> frozenset[int]:
     """Vertices x such that V - {x} is weakly toll convex.
 
     Equivalently: x lies on no weakly toll walk between two other
-    (distinct, nonadjacent) vertices. Candidates are narrowed to the
-    simplicial vertices first, then surviving ones are eliminated by
-    scanning walk masks of nonadjacent pairs.
+    (distinct, nonadjacent) vertices. Let L_0 = {x}, L_1 = N(x) and
+    L_{i+1} = N(L_i) - (L_0 union ... union L_i) be the BFS layers of x's
+    component. Then x is extreme iff
+
+    1. every layer is a clique, and
+    2. no layer L_i with i >= 2 holds two distinct vertices u, v such
+       that v has a neighbor in L_{i-1} outside N(u) and a neighbor in
+       L_{i+1} outside N(u).
+
+    Proof. *Splice:* let x be simplicial and u, w not in N[x]. Then x
+    lies on a weakly toll (u, w)-walk iff some y in N(x) does, because an
+    excursion y x y can be spliced in or cut out while N(x) is a clique.
+    So x is extreme iff no vertex of the clique N(x) lies on a weakly
+    toll walk of G - x between two vertices outside N[x].
+
+    *Condition 1:* suppose a clique Q has that property. Then N(Q) is a
+    clique, since two nonadjacent a, b in N(Q) give the walk a y b or
+    a y y' b through Q; and N(Q) has the same property in G - Q, by
+    splicing in an excursion a q a. Induct along the layers.
+
+    *Condition 2:* assume condition 1 and take a walk through x between
+    u in L_i and w in L_j. Each layer is a clique and u, w are not in
+    N[x], so 2 <= i < j. Climbing back from L_0 to L_j the walk crosses
+    L_i, and every vertex of L_i other than u lies in N(u), so it
+    crosses at v_u in L_i. From v_u the walk goes down through some p in
+    L_{i-1} - N(u) and up through some s in L_{i+1} - N(u). Conversely,
+    u v p ... x ... p v s is weakly toll for any such v, p, s.
+
+    Only the simplicial vertices are tested, each by one BFS with bit
+    masks that stops at its first non-clique layer (:func:`_is_extreme`).
+    Vertices of other components never reach x, so an isolated vertex is
+    extreme.
     """
-    return frozenset(bits(_surviving(g, _simplicial_mask(g))))
+    masks = g._masks
+    return frozenset(x for x in bits(_simplicial_mask(g)) if _is_extreme(masks, x))
 
 
 def is_extreme_vertex(g: Graph, x: int) -> bool:
-    """Membership test for :func:`extreme_vertices`, with early exit."""
+    """Membership test for :func:`extreme_vertices`, with early exit: a
+    vertex that is not simplicial fails at the first layer of its BFS."""
     _check_subset(g, (x,))
-    nb = g._masks[x]
-    if any(nb & ~(1 << y) & ~g._masks[y] for y in bits(nb)):
-        return False  # not simplicial: interior of a neighbor-pair walk
-    return _surviving(g, 1 << x) != 0
+    return _is_extreme(g._masks, x)

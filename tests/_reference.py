@@ -11,6 +11,9 @@
   other atom whose intersection with it contains every other
   intersection; the library's annotation must return the same
   decomposition, partners included.
+- The extreme-vertex scan by pair walk masks: the simplicial vertices,
+  minus the walk mask of every nonadjacent pair until none is left; the
+  library's BFS layer test must return the same set.
 - The literal wtn subset search, without twin pruning or completions.
 - The wtn search over every set of extras holding at most one vertex per
   twin class, skipping the others one by one; the library's search over
@@ -23,7 +26,12 @@ from itertools import combinations
 from wtoll.atoms import AtomDecomposition
 from wtoll.errors import InternalConsistencyError
 from wtoll.graph import _check_subset, bits, component_mask, is_complete, mask_of
-from wtoll.intervals import MembershipWitness, _interval_mask, in_weakly_toll_walk
+from wtoll.intervals import (
+    MembershipWitness,
+    _interval_mask,
+    _pair_walk_mask,
+    in_weakly_toll_walk,
+)
 from wtoll.invariants import InvariantResult
 from wtoll.twins import extreme_twin_classes, twin_classes
 
@@ -90,6 +98,30 @@ def interval_members(g, s):
         if found:
             out.add(v)
     return frozenset(out)
+
+
+def reference_extreme_scan(g):
+    """Extreme vertices by elimination: start from the simplicial
+    vertices, and remove the walk mask of each nonadjacent pair whose
+    mask could still drop a candidate other than its own endpoints."""
+    masks = g._masks
+    candidates = 0
+    for v in range(g.n):
+        nb = masks[v]
+        if all(nb & ~(1 << y) & ~masks[y] == 0 for y in bits(nb)):
+            candidates |= 1 << v
+    n = g.n
+    for u in range(n):
+        if not candidates:
+            break
+        mu = masks[u]
+        for w in range(u + 1, n):
+            if mu >> w & 1 or not candidates & ~((1 << u) | (1 << w)):
+                continue
+            candidates &= ~_pair_walk_mask(g, u, w)
+            if not candidates:
+                break
+    return frozenset(bits(candidates))
 
 
 def reference_mcs_m(g):

@@ -1,5 +1,7 @@
 """Hypothesis strategies and fixed graph families shared by the tests."""
 
+import random
+
 from hypothesis import strategies as st
 
 import wtoll as w
@@ -61,3 +63,34 @@ def giant_component(g):
         len(comp),
         [(index[u], index[v]) for u, v in g.edges() if u in index and v in index],
     )
+
+
+def clique_layer_graph(rng: random.Random):
+    """A graph built as the BFS layers of its vertex 0, then perturbed.
+
+    One to seven layers, each a clique of width 1-5; every vertex past
+    the first layer is joined to a random nonempty subset of the layer
+    before. Then, with probability 0.3 each, one random edge is added or
+    one is dropped, and the vertices are relabelled at random. Such
+    graphs sit on both sides of the extreme-vertex layer conditions.
+    """
+    layers, n = [], 0
+    for _ in range(rng.randint(1, 7)):
+        width = rng.randint(1, 5)
+        layers.append(range(n, n + width))
+        n += width
+    edges = set()
+    for i, layer in enumerate(layers):
+        edges.update((a, b) for a in layer for b in layer if a < b)
+        if i:
+            below = list(layers[i - 1])
+            for v in layer:
+                edges.update((p, v) for p in rng.sample(below, rng.randint(1, len(below))))
+    r = rng.random()
+    if r < 0.3 and n >= 2:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    elif r < 0.6 and edges:
+        edges.discard(rng.choice(sorted(edges)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return w.Graph(n, [(perm[a], perm[b]) for a, b in edges])

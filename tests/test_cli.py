@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +250,30 @@ class TestExitCodes:
         assert code == 4 and "NP-hard" in err
         code, out, _ = run(["wtc", str(path), "--cap", "20"])
         assert code == 0 and json.loads(out)["result"]["value"] == 19
+
+
+class TestModuleEntry:
+    """``python -m wtoll`` runs the command line in a fresh interpreter."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(w.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "wtoll", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_generate_exits_0(self):
+        proc = self.run_module("generate", "path", "4")
+        assert proc.returncode == 0
+        assert w.parse_edge_list(proc.stdout).edges() == w.path_graph(4).edges()
+
+    def test_missing_file_exits_2(self):
+        proc = self.run_module("wtn", "/nonexistent.el")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
 
 
 class TestGenerate:

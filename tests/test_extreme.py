@@ -1,0 +1,122 @@
+"""The BFS layer test for extreme vertices against the pair-mask scan."""
+
+import random
+import time
+
+import pytest
+
+import wtoll as w
+
+from _reference import reference_extreme_scan
+from _strategies import caterpillar, clique_chain, clique_layer_graph
+
+
+def _random_graphs():
+    # G(n, p) with n <= 13; the sparse draws leave many disconnected
+    rng = random.Random(606)
+    return [
+        w.gnp_graph(rng.randint(1, 13), rng.choice((0.1, 0.2, 0.35, 0.5, 0.7, 0.9)),
+                    seed=rng.randrange(10**9))
+        for _ in range(1200)
+    ]
+
+
+def _clique_layer_graphs():
+    rng = random.Random(6)
+    return [clique_layer_graph(rng) for _ in range(1200)]
+
+
+def _families():
+    return [
+        w.path_graph(40),
+        caterpillar(15, 2),
+        clique_chain(8, 3),
+        clique_chain(6, 4),
+        clique_chain(5, 5),
+    ]
+
+
+def _assert_matches_reference(graphs):
+    for g in graphs:
+        g = w.Graph(g.n, g.edges())  # a cold pair memo
+        ext = w.extreme_vertices(g)
+        for x in range(g.n):
+            assert w.is_extreme_vertex(g, x) == (x in ext), (g.edges(), x)
+        # neither extreme function computes a pair walk mask
+        assert not g._pair_cache
+        assert ext == reference_extreme_scan(g), g.edges()
+
+
+class TestMatchesPairScan:
+    def test_corpus(self, corpus):
+        _assert_matches_reference(corpus)
+
+    def test_random_small(self):
+        graphs = _random_graphs()
+        assert sum(not w.is_connected(g) for g in graphs) >= 200
+        _assert_matches_reference(graphs)
+
+    def test_clique_layers(self):
+        graphs = _clique_layer_graphs()
+        # both answers occur in quantity, so the layer conditions are exercised
+        with_extreme = sum(bool(w.extreme_vertices(g)) for g in graphs)
+        assert 200 <= with_extreme <= len(graphs) - 200
+        _assert_matches_reference(graphs)
+
+    def test_families(self):
+        _assert_matches_reference(_families())
+
+    def test_families_closed_forms(self):
+        p40, cat, chain = w.path_graph(40), caterpillar(15, 2), clique_chain(6, 4)
+        assert w.extreme_vertices(p40) == {0, 39}
+        assert w.extreme_vertices(cat) == frozenset()
+        # the private vertices of the two end cliques
+        assert w.extreme_vertices(chain) == {0, 1, 2, 16, 17, 18}
+
+
+def _elapsed(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: w.path_graph(1000), lambda: clique_chain(300, 4)],
+    ids=["path1000", "k4chain300"],
+)
+@pytest.mark.parametrize("solver", ["wtn", "wth"])
+def test_solvers_scale_on_long_chains(make, solver):
+    g = make()
+    assert _elapsed(getattr(w, solver), g) < 1.0
+
+
+class TestDisconnectedSparse:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return w.gnp_graph(1000, 0.005, seed=1)
+
+    def test_fast(self, graph):
+        g = w.Graph(graph.n, graph.edges())  # a cold pair memo
+        assert _elapsed(w.extreme_vertices, g) < 1.0
+
+    def test_isolated_vertices_are_extreme(self, graph):
+        ext = w.extreme_vertices(graph)
+        isolated = [v for v in range(graph.n) if graph.degree(v) == 0]
+        assert isolated
+        assert set(isolated) <= ext
+
+    def test_small_components_match_reference(self, graph):
+        ext = w.extreme_vertices(graph)
+        checked = 0
+        for comp in w.connected_components(graph):
+            if len(comp) > 30:
+                continue
+            order = sorted(comp)
+            index = {v: i for i, v in enumerate(order)}
+            sub = w.Graph(
+                len(order),
+                [(index[a], index[b]) for a, b in graph.edges() if a in index and b in index],
+            )
+            assert {index[v] for v in comp & ext} == reference_extreme_scan(sub)
+            checked += 1
+        assert checked == 10  # nine isolated vertices and one edge
