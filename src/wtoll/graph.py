@@ -12,11 +12,13 @@ at most one walk mask per nonadjacent pair.
 from __future__ import annotations
 
 import hashlib
+import re
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraphError, GraphParseError
 
 __all__ = [
+    "MAX_VERTICES",
     "Graph",
     "bits",
     "mask_of",
@@ -31,6 +33,14 @@ __all__ = [
     "is_complete",
     "max_clique",
 ]
+
+
+# The largest vertex count either parser accepts, checked against the
+# edge-list header and the graph6 size field before anything of size n is
+# allocated. Every analysis is at least quadratic in n, so a larger graph
+# is far out of reach, and a stray header such as "1000000000 0" must not
+# allocate 10^9 masks.
+MAX_VERTICES = 100_000
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -84,10 +94,24 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+        self._adopt(n, masks)
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: Sequence[int]) -> Graph:
+        """Graph on 0..n-1 with these neighbor masks, taken as they are.
+
+        The caller guarantees n masks, symmetric, with no bit at or above
+        n and none on the diagonal.
+        """
+        g = cls.__new__(cls)
+        g._adopt(n, masks)
+        return g
+
+    def _adopt(self, n: int, masks: Sequence[int]) -> None:
         self.n = n
         self._masks: tuple[int, ...] = tuple(masks)
         self._full = (1 << n) - 1
-        self.m = sum(mask.bit_count() for mask in masks) // 2
+        self.m = sum(map(int.bit_count, self._masks)) // 2
         # lazily filled by wtoll.intervals; maps a nonadjacent pair (u, w)
         # with u < w to the mask of vertices on weakly toll (u, w)-walks
         self._pair_cache: dict[tuple[int, int], int] = {}
@@ -116,8 +140,19 @@ class Graph:
         return self._masks[v]
 
     def fingerprint(self) -> str:
-        """Stable short hash of the adjacency structure."""
-        payload = f"{self.n};" + ";".join(f"{u},{v}" for u, v in self.edges())
+        """Stable short hash of the adjacency structure.
+
+        The sha256 prefix of ``"n;u,v;u,v;..."`` over :meth:`edges` in
+        order, joined from per-vertex strings made once, not formatted
+        per edge.
+        """
+        names = list(map(str, range(self.n)))
+        heads = [name + "," for name in names]
+        payload = f"{self.n};" + ";".join([
+            heads[u] + names[v]
+            for u, mask in enumerate(self._masks)
+            for v in bits(mask >> (u + 1) << (u + 1))  # the neighbors above u
+        ])
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def __eq__(self, other: object) -> bool:
@@ -138,16 +173,68 @@ class Graph:
 # edge-list format
 # ---------------------------------------------------------------------------
 
+# The start of a line that is neither blank nor two unsigned decimal
+# integers separated by spaces or tabs; the first alternative is the
+# common "u v" line. A search for such a line keeps no state from one line
+# to the next, unlike a fullmatch over a repeated line group, whose
+# backtracking stack grows by one entry per line.
+_NOT_PLAIN_LINE = re.compile(
+    r"^(?![0-9]+[ \t]+[0-9]+$|[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?$)", re.MULTILINE
+)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     The first non-comment line is ``n m``; every following line is an edge
     ``u v`` with ``0 <= u, v < n`` and ``u != v``. Lines starting with ``#``
     and blank lines are ignored. Parallel edges collapse silently;
-    self-loops are a hard error.
+    self-loops are a hard error, and so is ``n`` above :data:`MAX_VERTICES`.
+
+    Text that holds only blank lines and "u v" lines of plain decimal
+    vertex ids is read in bulk. Anything else (comments, other whitespace,
+    signs, a bad line) goes through the line loop, which reports the first
+    bad line by number.
     """
+    if _NOT_PLAIN_LINE.search(text) is None:
+        g = _parse_plain_edge_list(text)
+        if g is not None:
+            return g
+    return _parse_edge_list_lines(text)
+
+
+def _parse_plain_edge_list(text: str) -> Graph | None:
+    """Bulk parse of text with no ``_NOT_PLAIN_LINE``; None if the
+    line loop must decide (no header, a vertex count over the limit, a
+    number too long for ``int``, an endpoint out of range, a self-loop)."""
+    # bytes tokens are smaller than str ones, and the text is ASCII here
+    tokens = text.encode("ascii").split()
+    if not tokens:
+        return None
+    head = tokens[:2]
+    del tokens[:2]
+    names = set(tokens)  # each distinct vertex id is converted once
+    try:
+        n, _ = map(int, head)
+        ids = dict(zip(names, map(int, names)))
+    except ValueError:  # more digits than int() converts
+        return None
+    del names  # before the masks are built, to keep the peak down
+    if n > MAX_VERTICES or max(ids.values(), default=-1) >= n:
+        return None
+    masks = [0] * n
+    pairs = iter(map(ids.__getitem__, tokens))
+    for u, v in zip(pairs, pairs):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    if any(mask >> u & 1 for u, mask in enumerate(masks)):
+        return None  # a self-loop
+    return Graph._from_masks(n, masks)
+
+
+def _parse_edge_list_lines(text: str) -> Graph:
     n = None
-    edges: list[tuple[int, int]] = []
+    masks: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -162,16 +249,22 @@ def parse_edge_list(text: str) -> Graph:
         if n is None:
             if a < 0 or b < 0:
                 raise GraphParseError("header 'n m' must be nonnegative", lineno)
+            if a > MAX_VERTICES:
+                raise GraphParseError(
+                    f"vertex count {a} exceeds the limit of {MAX_VERTICES}", lineno
+                )
             n = a
+            masks = [0] * n
             continue
         if not (0 <= a < n and 0 <= b < n):
             raise GraphParseError(f"vertex out of range 0..{n - 1}: {line!r}", lineno)
         if a == b:
             raise GraphParseError(f"self-loop at vertex {a}", lineno)
-        edges.append((a, b))
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
     if n is None:
         raise GraphParseError("empty input: missing 'n m' header")
-    return Graph(n, edges)
+    return Graph._from_masks(n, masks)
 
 
 def to_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:
@@ -215,8 +308,17 @@ def _g6_encode_size(n: int) -> bytes:
     return bytes([126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)])
 
 
+# graph6 character c - 63 as six binary digits, indexed by the byte c
+_G6_SIX_BITS = ("",) * 63 + tuple(format(c, "06b") for c in range(64))
+
+
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6-encoded graph (optional ``>>graph6<<`` header)."""
+    """Decode one graph6-encoded graph (optional ``>>graph6<<`` header).
+
+    The body is the upper triangle column by column: column v holds the
+    bits of (0, v), (1, v), ..., (v - 1, v), so each column is read as one
+    v-bit slice of the body's binary digits.
+    """
     s = line.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -226,25 +328,28 @@ def parse_graph6(line: str) -> Graph:
     if any(c < 63 or c > 126 for c in data):
         raise GraphParseError("invalid graph6 character")
     n, body = _g6_decode_size(data)
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"graph6 vertex count {n} exceeds the limit of {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphParseError(
             f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6}"
         )
-    bitstream = 0
-    for c in body:
-        bitstream = (bitstream << 6) | (c - 63)
-    total = 6 * len(body)
-    if nbits < total and bitstream & ((1 << (total - nbits)) - 1):
+    digits = "".join(map(_G6_SIX_BITS.__getitem__, body))
+    if "1" in digits[nbits:]:
         raise GraphParseError("nonzero padding bits in graph6 body")
-    edges = []
-    idx = 0
+    masks = [0] * n
+    start = 0
     for v in range(1, n):
-        for u in range(v):
-            if bitstream >> (total - 1 - idx) & 1:
-                edges.append((u, v))
-            idx += 1
-    return Graph(n, edges)
+        column = digits[start:start + v]
+        start += v
+        bit = 1 << v
+        u = column.find("1")
+        while u >= 0:
+            masks[u] |= bit
+            masks[v] |= 1 << u
+            u = column.find("1", u + 1)
+    return Graph._from_masks(n, masks)
 
 
 def to_graph6(g: Graph) -> str:

@@ -19,13 +19,20 @@
   twin class, skipping the others one by one; the library's search over
   one representative per class must return the same value, witness and
   case tag.
+- The I/O path as a line loop and a bit loop: the edge-list parser that
+  collects (u, v) tuples line by line, the graph6 decoder that shifts the
+  whole bitstream once per bit, and the fingerprint over the sorted edge
+  tuples. The library's bulk parsers must return equal graphs and raise
+  the same message at the same line, and its fingerprint must be the same
+  string.
 """
 
+import hashlib
 from itertools import combinations
 
 from wtoll.atoms import AtomDecomposition
-from wtoll.errors import InternalConsistencyError
-from wtoll.graph import _check_subset, bits, component_mask, is_complete, mask_of
+from wtoll.errors import GraphParseError, InternalConsistencyError
+from wtoll.graph import Graph, _check_subset, bits, component_mask, is_complete, mask_of
 from wtoll.intervals import (
     MembershipWitness,
     _interval_mask,
@@ -273,3 +280,94 @@ def reference_wtn_twin_filter(g):
             f"no weakly toll interval set found in the k={k} search window"
         )
     return InvariantResult(best[0], frozenset(bits(best[1])), f"WTN_K{k}")
+
+
+def reference_parse_edge_list(text):
+    """The edge-list parser as a line loop over (u, v) tuples."""
+    n = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError(f"expected two integers, got {line!r}", lineno)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"expected two integers, got {line!r}", lineno) from None
+        if n is None:
+            if a < 0 or b < 0:
+                raise GraphParseError("header 'n m' must be nonnegative", lineno)
+            n = a
+            continue
+        if not (0 <= a < n and 0 <= b < n):
+            raise GraphParseError(f"vertex out of range 0..{n - 1}: {line!r}", lineno)
+        if a == b:
+            raise GraphParseError(f"self-loop at vertex {a}", lineno)
+        edges.append((a, b))
+    if n is None:
+        raise GraphParseError("empty input: missing 'n m' header")
+    return Graph(n, edges)
+
+
+def _reference_g6_decode_size(data):
+    if data[0] != 126:
+        return data[0] - 63, data[1:]
+    if len(data) >= 2 and data[1] == 126:
+        if len(data) < 8:
+            raise GraphParseError("truncated graph6 size field")
+        n = 0
+        for c in data[2:8]:
+            n = (n << 6) | (c - 63)
+        return n, data[8:]
+    if len(data) < 4:
+        raise GraphParseError("truncated graph6 size field")
+    n = 0
+    for c in data[1:4]:
+        n = (n << 6) | (c - 63)
+    return n, data[4:]
+
+
+def reference_parse_graph6(line):
+    """The graph6 decoder that tests each bit with a shift of the whole stream."""
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphParseError("empty graph6 input")
+    data = s.encode("ascii", errors="replace")
+    if any(c < 63 or c > 126 for c in data):
+        raise GraphParseError("invalid graph6 character")
+    n, body = _reference_g6_decode_size(data)
+    nbits = n * (n - 1) // 2
+    if len(body) != (nbits + 5) // 6:
+        raise GraphParseError(
+            f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6}"
+        )
+    bitstream = 0
+    for c in body:
+        bitstream = (bitstream << 6) | (c - 63)
+    total = 6 * len(body)
+    if nbits < total and bitstream & ((1 << (total - nbits)) - 1):
+        raise GraphParseError("nonzero padding bits in graph6 body")
+    edges = []
+    idx = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bitstream >> (total - 1 - idx) & 1:
+                edges.append((u, v))
+            idx += 1
+    return Graph(n, edges)
+
+
+def reference_fingerprint(g):
+    """sha256 prefix of "n;u,v;..." over the edges (u < v) in sorted order."""
+    edges = [
+        (u, v)
+        for u, mask in enumerate(g._masks)
+        for v in bits(mask >> (u + 1) << (u + 1))
+    ]
+    payload = f"{g.n};" + ";".join(f"{u},{v}" for u, v in edges)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]

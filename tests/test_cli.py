@@ -232,6 +232,11 @@ class TestExitCodes:
         code, _, _ = run(["wtn", "/nonexistent/g.el"])
         assert code == 2
 
+    def test_vertex_limit_is_2(self):
+        code, out, err = run(["wtn", "-"], stdin="1000000000 0\n")
+        assert code == 2 and out == ""
+        assert err == "error: line 1: vertex count 1000000000 exceeds the limit of 100000\n"
+
     def test_unknown_family_is_2(self):
         code, _, _ = run(["generate", "moebius", "5"])
         assert code == 2

@@ -1,4 +1,7 @@
 import hashlib
+import random
+import time
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -7,10 +10,38 @@ from hypothesis import given
 
 import wtoll as w
 from wtoll import Graph, GraphParseError
+from wtoll.graph import _NOT_PLAIN_LINE, MAX_VERTICES, _g6_encode_size
 
+from _reference import reference_fingerprint, reference_parse_edge_list, reference_parse_graph6
 from _strategies import graphs
 
 DATA = Path(__file__).parent / "data"
+
+
+def assert_same_graph(got, want):
+    assert got == want and got.m == want.m
+    assert got.fingerprint() == reference_fingerprint(want)
+
+
+def assert_parses_like_reference(parse, reference, text):
+    """The parser returns the reference's graph, or raises its error at its line."""
+    try:
+        want = reference(text)
+    except GraphParseError as exc:
+        with pytest.raises(GraphParseError) as got:
+            parse(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return got.value
+    assert_same_graph(parse(text), want)
+    return None
+
+
+def same_edge_list_error(text):
+    assert assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+
+
+def same_graph6_error(text):
+    assert assert_parses_like_reference(w.parse_graph6, reference_parse_graph6, text)
 
 
 class TestParseEdgeList:
@@ -37,18 +68,114 @@ class TestParseEdgeList:
     def test_malformed_line_names_line_number(self):
         with pytest.raises(GraphParseError, match="line 2"):
             w.parse_edge_list("3 1\n0 one")
+        same_edge_list_error("3 1\n0 one")
 
     def test_out_of_range(self):
         with pytest.raises(GraphParseError, match="line 2"):
             w.parse_edge_list("3 1\n0 7")
+        same_edge_list_error("3 1\n0 7")
 
     def test_self_loop(self):
         with pytest.raises(GraphParseError, match="self-loop"):
             w.parse_edge_list("3 1\n1 1")
+        same_edge_list_error("3 1\n1 1")
 
     def test_empty_input(self):
         with pytest.raises(GraphParseError):
             w.parse_edge_list("# nothing\n")
+        same_edge_list_error("# nothing\n")
+        same_edge_list_error("")
+        same_edge_list_error(" \n\t\n")
+
+    # Text outside the bulk path's shape, or rejected by its checks, takes
+    # the line loop; valid or not, the result must be the reference's.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# c\n4 3\n0 1\n# mid\n1 2\n2 3\n",  # comments
+            "# c\n4 3\n0 1\n# mid\n1 9\n",
+            "4 3\r\n0 1\r\n1 2\r\n2 3\r\n",  # \r
+            "4 3\r\n0 1\r\n3 3\r\n",
+            "4 3\n+1 2\n0 1\n",  # sign
+            "4 3\n-1 2\n",
+            "-1 0\n",
+            "12 3\n1_0 2\n",  # underscore
+            "4 3\n1_0 2\n",
+            "4 3\n\u0661 2\n",  # non-ASCII digit
+            "4 3\n\u0669 2\n",
+            "4 3\n0 1\n2\n",  # one token
+            "4\n0 1\n",
+            "4 3\n0 1 2\n",  # three tokens
+            "4 3 9\n0 1\n",
+            "4 3\n0 1\n1 4\n2 3\n",  # out of range
+            "0 0\n0 1\n",
+            "4 3\n0 1\n2 2\n3 9\n",  # self-loop
+            "4 3\n0 " + "1" * 5000 + "\n",  # too many digits for int()
+            "4 " + "1" * 5000 + "\n0 1\n",
+            "1" * 5000 + " 3\n",
+            "4 3\n00 01\n1 002\n",  # leading zeros
+            "4 3\n0 1\x0c\n1 2\n",  # other whitespace
+            "4 3\n0\u00a01\n",
+        ],
+    )
+    def test_fallback_matches_reference(self, text):
+        assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5 0",  # header only
+            "5 0\n",
+            "\n\n5 0\n\n",
+            "4 3\n0 1\n1 2\n2 3",  # no final newline
+            "4 3 \n0 1  \n\t1\t2\t\n  2 3 ",  # trailing and leading blanks
+            "4 3\n\n0 1\n \n1 2\n\t\n2 3\n\n",
+            "3 1\n2 0\n0 2\n",
+            "0 0\n",
+        ],
+    )
+    def test_bulk_path_matches_reference(self, text):
+        assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+
+    def test_shape_check_is_line_local(self):
+        # a long plain file with a bad last line: the check for a bad line
+        # neither backtracks across lines nor keeps state per line
+        text = "3 2\n" + "0 1\n1 2\n" * 10_000 + "2\n"
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(GraphParseError, match="line 20002: expected two integers"):
+                w.parse_edge_list(text)
+            elapsed = time.perf_counter() - t0
+            plain = text[:-2]
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert _NOT_PLAIN_LINE.search(plain) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak - held < 10_000
+
+    def test_vertex_limit(self):
+        assert w.parse_edge_list(f"{MAX_VERTICES} 0\n0 1\n").n == MAX_VERTICES
+        for text, line in ((f"{MAX_VERTICES + 1} 0", 1), (f"# big\n\n{MAX_VERTICES + 1} 0\n", 3)):
+            with pytest.raises(GraphParseError, match="exceeds the limit") as exc:
+                w.parse_edge_list(text)
+            assert exc.value.line == line
+
+    def test_huge_header_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(GraphParseError, match="line 1: vertex count 1000000000"):
+                w.parse_edge_list("1000000000 0\n")
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 100_000
 
     @given(graphs(max_n=12))
     def test_roundtrip(self, g):
@@ -69,14 +196,37 @@ class TestGraph6:
     def test_empty_string_is_error(self):
         with pytest.raises(GraphParseError):
             w.parse_graph6("")
+        same_graph6_error("")
 
     def test_invalid_character(self):
         with pytest.raises(GraphParseError):
             w.parse_graph6("D\x1f{")
+        same_graph6_error("D\x1f{")
 
     def test_wrong_body_length(self):
         with pytest.raises(GraphParseError):
             w.parse_graph6("D?{{")
+        same_graph6_error("D?{{")
+
+    @pytest.mark.parametrize(
+        "text", ["B@", "C~", "~?", "~~??", ">>graph6<<", "  ", "A\u00e9", "@", "A_", "?"]
+    )
+    def test_edge_cases_match_reference(self, text):
+        assert_parses_like_reference(w.parse_graph6, reference_parse_graph6, text)
+
+    def test_vertex_limit(self):
+        for n in (MAX_VERTICES + 1, 10**9):
+            text = _g6_encode_size(n).decode()
+            tracemalloc.start()
+            try:
+                t0 = time.perf_counter()
+                with pytest.raises(GraphParseError, match=f"vertex count {n} exceeds"):
+                    w.parse_graph6(text)
+                elapsed = time.perf_counter() - t0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 0.5 and peak < 100_000
 
     def test_header_accepted(self):
         assert w.parse_graph6(">>graph6<<D?{") == w.parse_graph6("D?{")
@@ -224,3 +374,36 @@ class TestCliques:
                 key=len,
             )
             assert len(w.max_clique(g)) == len(best)
+
+
+class TestBulkIOMatchesReference:
+    """The bulk parsers and the fingerprint against the line loop and bit
+    loop they replaced (``tests/_reference.py``)."""
+
+    @staticmethod
+    def check(g, graph6_reference=True):
+        el, g6 = w.to_edge_list(g), w.to_graph6(g)
+        want = reference_parse_edge_list(el)
+        assert_same_graph(w.parse_edge_list(el), want)
+        # the reference decoder is quadratic in the bits: seconds on P_1000
+        if graph6_reference:
+            want = reference_parse_graph6(g6)
+        assert_same_graph(w.parse_graph6(g6), want)
+        assert want == g and g.fingerprint() == reference_fingerprint(g)
+
+    def test_corpus(self):
+        for line in (DATA / "connected_upto7.g6").read_text().splitlines():
+            g = w.parse_graph6(line)
+            assert_same_graph(g, reference_parse_graph6(line))
+            self.check(g)
+
+    def test_random_round_trips(self):
+        rng = random.Random(20231)
+        for i in range(200):
+            n = rng.randint(0, 300 if i % 10 == 0 else 60)
+            p = rng.choice((0.0, 0.02, 0.1, 0.35, 0.7, 1.0))
+            self.check(w.gnp_graph(n, p, seed=i))
+
+    def test_large(self):
+        self.check(w.path_graph(1000), graph6_reference=False)
+        self.check(w.gnp_graph(300, 0.35, seed=7))
