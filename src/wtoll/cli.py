@@ -267,9 +267,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except DisconnectedGraphError as exc:

@@ -3,8 +3,14 @@
 Deciding wtc(G) >= k is NP-complete even on prime graphs, so this module
 offers exactly what is tractable: on prime non-complete graphs every
 proper convex set is a clique, so the answer is the maximum clique size;
-everywhere else a capped exhaustive search over proper subsets runs in
-decreasing cardinality. The generator builds the prime instances behind
+everywhere else a capped search over proper subsets runs in decreasing
+cardinality. That search visits the size-s subsets in lexicographic
+order, depth first, and carries the union of the walk masks of the
+nonadjacent pairs chosen so far. A set S is convex iff that union lies
+inside S, and no vertex the union already holds below the last choice
+can be chosen later, so whole subtrees are cut at once (Ganter's
+NextClosure idea; Ganter & Reuter, "Finding all closed sets: a general
+approach", Order 1991). The generator builds the prime instances behind
 that hardness result: one degree-2 vertex glued onto every nonadjacent
 pair of the input graph.
 """
@@ -12,12 +18,11 @@ pair of the input graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .atoms import is_prime
 from .errors import CapExceededError, InternalConsistencyError
-from .graph import Graph, _require_connected, is_complete, max_clique, to_edge_list
-from .intervals import is_convex
+from .graph import Graph, _require_connected, bits, is_complete, max_clique, to_edge_list
+from .intervals import _pair_walk_mask, is_convex
 from .invariants import InvariantResult
 
 __all__ = ["ReductionOutput", "wtc_exact", "clique_reduction", "reduction_edge_list"]
@@ -39,8 +44,28 @@ def wtc_exact(g: Graph, cap: int = DEFAULT_WTC_CAP) -> InvariantResult:
     """Size of a maximum weakly toll convex set different from V(G).
 
     Prime non-complete graphs take the maximum-clique fast path; complete
-    graphs drop one vertex; anything else is searched exhaustively and
-    refused above ``cap`` (the problem is NP-hard there).
+    graphs drop one vertex; anything else is searched and refused above
+    ``cap`` (the problem is NP-hard there).
+
+    The search tries s = n - 1, ..., 1 and returns, with tag EXHAUSTIVE,
+    the lexicographically first convex set of the largest size that has
+    one: the set a scan of ``itertools.combinations(range(n), s)`` with
+    one convexity test per subset would return. :func:`_first_convex`
+    finds it depth first, choosing members in increasing order and
+    cutting a prefix as soon as no completion of it can be convex.
+
+    Why the witness is the same. I(S) = S union U(S), where U(S) is the
+    union of the walk masks of the nonadjacent pairs of S, so S is convex
+    iff U(S) is a subset of S. U only grows as members are added. Take a
+    prefix P whose last member is v, and let M = U(P) - P. Every
+    completion S of P adds only vertices above v, and U(S) contains M.
+    So if M holds a vertex below v, no completion contains it, and none
+    is convex (rule a); if M holds more vertices above v than there are
+    members still to choose, no completion contains all of them either
+    (rule b). The search therefore skips only prefixes with no convex
+    completion, visits the rest in lexicographic order, and at a full
+    set accepts exactly when U(S) lies in S. Its first accepted set is
+    the first convex set in lexicographic order.
     """
     if g.n < 2:
         raise ValueError("wtc needs at least 2 vertices")
@@ -57,10 +82,43 @@ def wtc_exact(g: Graph, cap: int = DEFAULT_WTC_CAP) -> InvariantResult:
             f"search refused for n={g.n} > cap {cap}"
         )
     for size in range(g.n - 1, 0, -1):
-        for s in combinations(range(g.n), size):
-            if is_convex(g, s):
-                return _checked(g, InvariantResult(size, frozenset(s), "EXHAUSTIVE"))
+        found = _first_convex(g, 0, 0, 0, size)
+        if found is not None:
+            return _checked(g, InvariantResult(size, frozenset(bits(found)), "EXHAUSTIVE"))
     raise InternalConsistencyError("no proper convex subset found; singletons are convex")
+
+
+def _first_convex(g: Graph, chosen: int, union: int, start: int, left: int) -> int | None:
+    """Mask of the lexicographically first convex set that adds ``left``
+    members from ``start`` upwards to ``chosen``, else None.
+
+    ``union`` is the union of the walk masks of the nonadjacent pairs of
+    ``chosen``, whose members all lie below ``start``. A new member v ORs
+    in only its pairs with the members already chosen. The candidates
+    for v stop at the least vertex of ``union - chosen``: past it, rule
+    (a) of :func:`wtc_exact` cuts every v.
+    """
+    masks = g._masks
+    stop = g.n - left
+    pending = union & ~chosen
+    if pending:
+        stop = min(stop, (pending & -pending).bit_length() - 1)
+    for v in range(start, stop + 1):
+        walks = union
+        for u in bits(chosen & ~masks[v]):
+            walks |= _pair_walk_mask(g, u, v)
+        taken = chosen | (1 << v)
+        missing = walks & ~taken
+        if left == 1:
+            if not missing:  # I(S) = S
+                return taken
+            continue
+        if missing & ((1 << v) - 1) or missing.bit_count() > left - 1:
+            continue  # rules (a) and (b)
+        found = _first_convex(g, taken, walks, v + 1, left - 1)
+        if found is not None:
+            return found
+    return None
 
 
 def _checked(g: Graph, result: InvariantResult) -> InvariantResult:

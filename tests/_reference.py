@@ -25,19 +25,32 @@
   tuples. The library's bulk parsers must return equal graphs and raise
   the same message at the same line, and its fingerprint must be the same
   string.
+- wtc by the exhaustive scan: the COMPLETE and PRIME_MAX_CLIQUE branches,
+  then every size-s subset from ``combinations`` with one convexity test
+  each, for s = n - 1 down to 1; the library's pruned depth-first search
+  must return the same value, witness and case tag.
 """
 
 import hashlib
 from itertools import combinations
 
-from wtoll.atoms import AtomDecomposition
+from wtoll.atoms import AtomDecomposition, is_prime
 from wtoll.errors import GraphParseError, InternalConsistencyError
-from wtoll.graph import Graph, _check_subset, bits, component_mask, is_complete, mask_of
+from wtoll.graph import (
+    Graph,
+    _check_subset,
+    bits,
+    component_mask,
+    is_complete,
+    mask_of,
+    max_clique,
+)
 from wtoll.intervals import (
     MembershipWitness,
     _interval_mask,
     _pair_walk_mask,
     in_weakly_toll_walk,
+    is_convex,
 )
 from wtoll.invariants import InvariantResult
 from wtoll.twins import extreme_twin_classes, twin_classes
@@ -371,3 +384,19 @@ def reference_fingerprint(g):
     ]
     payload = f"{g.n};" + ";".join(f"{u},{v}" for u, v in edges)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def reference_wtc_exhaustive(g):
+    """wtc by one convexity test per subset, in decreasing size and
+    lexicographic order. Connected graphs on at least 2 vertices; no cap."""
+    n = g.n
+    if is_complete(g):
+        return InvariantResult(n - 1, frozenset(range(n - 1)), "COMPLETE")
+    if is_prime(g):
+        clique = max_clique(g)
+        return InvariantResult(len(clique), clique, "PRIME_MAX_CLIQUE")
+    for size in range(n - 1, 0, -1):
+        for s in combinations(range(n), size):
+            if is_convex(g, s):
+                return InvariantResult(size, frozenset(s), "EXHAUSTIVE")
+    raise InternalConsistencyError("no proper convex subset found; singletons are convex")

@@ -280,6 +280,24 @@ class TestModuleEntry:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    def test_repeated_main_calls_match_fresh_processes(self, tmp_path):
+        # main builds its parser once per process; an option given to one
+        # call must not leak into the next
+        path = tmp_path / "p20.el"
+        path.write_text(w.to_edge_list(w.path_graph(20)))
+        calls = [
+            ["wtc", str(path), "--cap", "20", "--plain"],
+            ["wtc", str(path), "--plain"],
+            ["wtc", str(path), "--cap", "20", "--plain"],
+        ]
+        in_process = [run(argv) for argv in calls]
+        fresh = [self.run_module(*argv) for argv in calls[:2]]
+        fresh = [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert in_process[0] == in_process[2] == fresh[0]
+        assert in_process[1] == fresh[1]
+        assert fresh[0][0] == 0 and fresh[0][1].startswith("wtc = 19 ")
+        assert fresh[1][0] == 4 and "cap 16" in fresh[1][2]
+
 
 class TestGenerate:
     def test_path(self):

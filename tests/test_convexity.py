@@ -1,8 +1,35 @@
+import time
+
 import pytest
 
 import wtoll as w
+from _reference import reference_wtc_exhaustive
+from _strategies import caterpillar, clique_chain
 from wtoll import CapExceededError
-from wtoll.convexity import reduction_edge_list
+from wtoll.convexity import DEFAULT_WTC_CAP, reduction_edge_list
+
+
+def _reducible_gnp(n, p, count, seed=0):
+    """The first ``count`` connected G(n, p) draws, from seed ``seed`` + 1
+    on, that are neither complete nor prime."""
+    out = []
+    while len(out) < count:
+        seed += 1
+        g = w.random_connected_gnp(n, p, seed=seed)
+        if not w.is_complete(g) and not w.is_prime(g):
+            out.append(g)
+    return out
+
+
+def _cycle_with_pendant(k):
+    """C_k with one pendant vertex k on vertex 0."""
+    return w.Graph(k + 1, w.cycle_graph(k).edges() + [(0, k)])
+
+
+def _assert_matches_reference(g):
+    # a fresh copy for the reference, so neither side reads the other's
+    # pair memo
+    assert w.wtc_exact(g) == reference_wtc_exhaustive(w.Graph(g.n, g.edges()))
 
 
 class TestWtcExact:
@@ -50,6 +77,52 @@ class TestWtcExact:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             w.wtc_exact(w.complete_graph(1))
+
+
+class TestPrunedSearch:
+    """The depth-first search returns what one convexity test per subset
+    of ``combinations`` returns: value, witness and case tag."""
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            if g.n >= 2:
+                _assert_matches_reference(g)
+
+    # 202 graphs in all; few at n >= 14, where the reference scan is slow
+    @pytest.mark.parametrize(
+        "n,count", [(n, 30) for n in range(8, 14)] + [(14, 10), (15, 6), (16, 6)]
+    )
+    def test_random_reducible(self, n, count):
+        for g in _reducible_gnp(n, 0.15 + 0.05 * (n % 6), count, seed=1000 * n):
+            _assert_matches_reference(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [pytest.param(w.path_graph(n), id=f"P{n}") for n in range(2, DEFAULT_WTC_CAP + 1)]
+        + [
+            pytest.param(_cycle_with_pendant(k), id=f"C{k}+pendant")
+            for k in range(3, DEFAULT_WTC_CAP)
+        ]
+        + [
+            pytest.param(caterpillar(spine, legs), id=f"caterpillar{spine}x{legs}")
+            for legs in (1, 2, 3)
+            for spine in range(2, DEFAULT_WTC_CAP // (legs + 1) + 1)
+        ]
+        + [
+            pytest.param(clique_chain(count, size), id=f"chain{count}xK{size}")
+            for size in (3, 4, 5, 6)
+            for count in range(2, (DEFAULT_WTC_CAP - 1) // (size - 1) + 1)
+        ],
+    )
+    def test_families(self, g):
+        _assert_matches_reference(g)
+
+    def test_sixty_reducible_g16_under_two_seconds(self):
+        graphs = _reducible_gnp(16, 0.3, 60)
+        t0 = time.perf_counter()
+        for g in graphs:
+            w.wtc_exact(g)
+        assert time.perf_counter() - t0 < 2.0
 
 
 class TestCliqueReduction:
