@@ -43,9 +43,7 @@ def main():
 
     g = w.bowtie_graph()
     part = w.twin_classes(g)
-    print("\none representative per class of {1, 3, 4} in the bowtie:",
-          sorted(w.representatives(part, {1, 3, 4})))
-    print("classes made of extreme vertices:",
+    print("\nclasses made of extreme vertices:",
           [sorted(part.classes[i]) for i in w.extreme_twin_classes(g, part)])
 
 

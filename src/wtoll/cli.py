@@ -36,9 +36,9 @@ from .generators import (
     path_graph,
     star_graph,
 )
-from .graph import Graph, parse_edge_list, parse_graph6, to_edge_list
+from .graph import MAX_VERTICES, Graph, parse_edge_list, parse_graph6, to_edge_list
 from .intervals import extreme_vertices, hull, interval
-from .invariants import InvariantResult, wth, wtn
+from .invariants import InvariantResult, _least_nonadjacent_pair, wth, wtn
 from .twins import TwinPartition, twin_classes
 
 __all__ = ["main", "entry"]
@@ -136,6 +136,13 @@ def _cmd_analysis(args: argparse.Namespace) -> int:
     return 0
 
 
+def _vertex_count(n: int) -> int:
+    """n, refused before anything is built if the parsers would refuse it."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    return n
+
+
 def _generate(args: argparse.Namespace) -> str:
     family = args.family
     params = args.params
@@ -148,7 +155,7 @@ def _generate(args: argparse.Namespace) -> str:
     if family in simple:
         if len(params) != 1:
             raise ValueError(f"{family} takes one parameter: the vertex count")
-        return to_edge_list(simple[family](int(params[0])))
+        return to_edge_list(simple[family](_vertex_count(int(params[0]))))
     if family == "bowtie":
         if params:
             raise ValueError("bowtie takes no parameters")
@@ -156,11 +163,13 @@ def _generate(args: argparse.Namespace) -> str:
     if family == "random-gnp":
         if len(params) != 2:
             raise ValueError("random-gnp takes two parameters: n and p")
-        return to_edge_list(gnp_graph(int(params[0]), float(params[1]), seed=args.seed))
+        n = _vertex_count(int(params[0]))
+        return to_edge_list(gnp_graph(n, float(params[1]), seed=args.seed))
     if family == "clique-reduction":
         if len(params) != 2:
             raise ValueError("clique-reduction takes two parameters: a graph file and k")
         g = _load_graph(params[0], args.format)
+        _vertex_count(g.n + g.n * (g.n - 1) // 2 - g.m)  # one added vertex per non-edge
         return reduction_edge_list(clique_reduction(g, int(params[1])))
     raise ValueError(f"unknown family {family!r}")
 
@@ -172,14 +181,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _bench_pair(g: Graph) -> tuple[int, ...]:
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if not g.has_edge(u, w):
-                return (u, w)
-    return (0, 1) if g.n >= 2 else (0,)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -194,7 +195,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (OSError, GraphParseError) as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
-        pair = _bench_pair(g)
+        pair = _least_nonadjacent_pair(g) or ((0, 1) if g.n >= 2 else (0,))
         ops = [
             ("interval", lambda: len(interval(g, pair))),
             ("hull", lambda: len(hull(g, pair))),

@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GraphParseError",
+    "DisconnectedGraphError",
+    "CapExceededError",
+    "InternalConsistencyError",
+]
+
 
 class GraphParseError(ValueError):
     """Malformed graph input. Carries the offending 1-based line number."""

@@ -18,11 +18,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DisconnectedGraphError, GraphParseError
 
 __all__ = [
-    "MAX_VERTICES",
     "Graph",
-    "bits",
-    "mask_of",
-    "component_mask",
     "parse_edge_list",
     "to_edge_list",
     "parse_graph6",
@@ -115,9 +111,6 @@ class Graph:
         # lazily filled by wtoll.intervals; maps a nonadjacent pair (u, w)
         # with u < w to the mask of vertices on weakly toll (u, w)-walks
         self._pair_cache: dict[tuple[int, int], int] = {}
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(bits(self._masks[v]))
@@ -324,7 +317,11 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise GraphParseError("empty graph6 input")
-    data = s.encode("ascii", errors="replace")
+    # checked before encoding: a replaced character would read as "?", a
+    # valid all-zero sextet
+    if not s.isascii():
+        raise GraphParseError("invalid graph6 character")
+    data = s.encode("ascii")
     if any(c < 63 or c > 126 for c in data):
         raise GraphParseError("invalid graph6 character")
     n, body = _g6_decode_size(data)

@@ -19,7 +19,8 @@ Extreme vertices need no walk masks at all. A vertex x is extreme iff
 every BFS layer L_0 = {x}, L_1 = N(x), L_2, ... of its component is a
 clique and no layer L_i (i >= 2) holds vertices u != v where v has a
 neighbor in L_{i-1} and one in L_{i+1}, both outside N(u); the proof is
-in :func:`extreme_vertices`. So each candidate costs one bitmask BFS.
+in :func:`extreme_vertices`. So each vertex costs one bitmask BFS, and
+one that is not simplicial stops at its first layer, L_1 = N(x).
 
 Everything here is pure. Per-pair walk masks are memoized on the Graph
 instance, which makes repeated interval/hull evaluations over overlapping
@@ -235,17 +236,6 @@ def is_convex(g: Graph, s: Iterable[int]) -> bool:
     return _interval_mask(g, smask) == smask
 
 
-def _simplicial_mask(g: Graph) -> int:
-    # an extreme vertex must be simplicial: two nonadjacent neighbors a, b
-    # would put it inside the walk a-x-b
-    mask = 0
-    for v in range(g.n):
-        nb = g._masks[v]
-        if all(nb & ~(1 << y) & ~g._masks[y] == 0 for y in bits(nb)):
-            mask |= 1 << v
-    return mask
-
-
 def _is_extreme(masks: list[int], x: int) -> bool:
     """The layer test of :func:`extreme_vertices` for one vertex x.
 
@@ -314,13 +304,14 @@ def extreme_vertices(g: Graph) -> frozenset[int]:
     L_{i-1} - N(u) and up through some s in L_{i+1} - N(u). Conversely,
     u v p ... x ... p v s is weakly toll for any such v, p, s.
 
-    Only the simplicial vertices are tested, each by one BFS with bit
-    masks that stops at its first non-clique layer (:func:`_is_extreme`).
-    Vertices of other components never reach x, so an isolated vertex is
-    extreme.
+    Every vertex is tested by one BFS with bit masks that stops at its
+    first non-clique layer (:func:`_is_extreme`). Layer 1 is N(x), so
+    that first test is the simplicial test, and a vertex that is not
+    simplicial fails it without a second layer. Vertices of other
+    components never reach x, so an isolated vertex is extreme.
     """
     masks = g._masks
-    return frozenset(x for x in bits(_simplicial_mask(g)) if _is_extreme(masks, x))
+    return frozenset(x for x in range(g.n) if _is_extreme(masks, x))
 
 
 def is_extreme_vertex(g: Graph, x: int) -> bool:

@@ -118,6 +118,8 @@ def wth(g: Graph) -> InvariantResult:
     dec = decompose(g)
     if len(dec.atoms) == 1:
         pair = _least_nonadjacent_pair(g)
+        if pair is None:
+            raise InternalConsistencyError("no nonadjacent pair in a non-complete graph")
         return _verified(g, InvariantResult(2, frozenset(pair), "PRIME_PAIR"))
 
     extremal = extremal_atoms(dec)
@@ -168,12 +170,13 @@ def _verified(g: Graph, result: InvariantResult) -> InvariantResult:
     return result
 
 
-def _least_nonadjacent_pair(g: Graph) -> tuple[int, int]:
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if not g.has_edge(u, w):
-                return u, w
-    raise InternalConsistencyError("no nonadjacent pair in a non-complete graph")
+def _least_nonadjacent_pair(g: Graph) -> tuple[int, int] | None:
+    """The lexicographically least nonadjacent pair; None if g is complete."""
+    for u, mask in enumerate(g._masks):
+        above = g._full & ~mask & ~((2 << u) - 1)  # non-neighbors above u
+        if above:
+            return u, (above & -above).bit_length() - 1
+    return None
 
 
 def _nonclique_exclusive_pair(

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InternalConsistencyError
 from .graph import Graph, is_complete, is_connected
 from .intervals import extreme_vertices
 
-__all__ = ["TwinPartition", "twin_classes", "representatives", "extreme_twin_classes"]
+__all__ = ["TwinPartition", "twin_classes", "extreme_twin_classes"]
 
 
 @dataclass(frozen=True)
@@ -30,24 +29,14 @@ def twin_classes(g: Graph) -> TwinPartition:
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         groups.setdefault(g.neighbor_mask(v) | (1 << v), []).append(v)
-    classes = tuple(
-        frozenset(members) for members in sorted(groups.values(), key=lambda ms: ms[0])
-    )
+    # a class enters the dict at its least member, so insertion order is
+    # already the order by least member
+    classes = tuple(map(frozenset, groups.values()))
     class_of = [0] * g.n
     for idx, cls in enumerate(classes):
         for v in cls:
             class_of[v] = idx
     return TwinPartition(classes, tuple(class_of))
-
-
-def representatives(p: TwinPartition, s: Iterable[int]) -> frozenset[int]:
-    """One representative (the least member) of each twin class meeting S."""
-    chosen: dict[int, int] = {}
-    for v in s:
-        idx = p.class_of[v]
-        if idx not in chosen or v < chosen[idx]:
-            chosen[idx] = v
-    return frozenset(chosen.values())
 
 
 def extreme_twin_classes(g: Graph, p: TwinPartition) -> list[int]:

@@ -241,6 +241,35 @@ class TestExitCodes:
         code, _, _ = run(["generate", "moebius", "5"])
         assert code == 2
 
+    def test_non_ascii_graph6_is_2(self):
+        code, out, err = run(["twins", "-", "--format", "g6"], stdin="A\u00e9\n")
+        assert (code, out, err) == (2, "", "error: invalid graph6 character\n")
+
+    @pytest.mark.parametrize(
+        "argv,n",
+        [
+            (["path", "100001"], 100001),
+            (["random-gnp", "100001", "0.5"], 100001),
+            (["clique-reduction", "{edgeless_448}", "3"], 448 + 448 * 447 // 2),
+        ],
+        ids=["path", "random-gnp", "clique-reduction"],
+    )
+    def test_generate_above_vertex_limit_is_2(self, tmp_path, monkeypatch, argv, n):
+        # a graph the parsers would refuse is refused before it is built
+        import wtoll.cli
+
+        def build(*args, **kwargs):
+            raise AssertionError("built a graph above the vertex limit")
+
+        for name in ("path_graph", "gnp_graph", "clique_reduction"):
+            monkeypatch.setattr(wtoll.cli, name, build)
+        path = tmp_path / "e448.el"
+        path.write_text("448 0\n")
+        argv = [a.format(edgeless_448=path) for a in argv]
+        code, out, err = run(["generate", *argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: vertex count {n} exceeds the limit of 100000\n"
+
     def test_disconnected_is_3(self, tmp_path):
         path = tmp_path / "dis.el"
         path.write_text("4 1\n0 1\n")
@@ -261,13 +290,13 @@ class TestModuleEntry:
     """``python -m wtoll`` runs the command line in a fresh interpreter."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_module(*argv, stdin=None):
         src = str(Path(w.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "wtoll", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            input=stdin, capture_output=True, encoding="utf-8", env=env, timeout=60,
         )
 
     def test_generate_exits_0(self):
@@ -279,6 +308,16 @@ class TestModuleEntry:
         proc = self.run_module("wtn", "/nonexistent.el")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    def test_generate_above_vertex_limit_exits_2(self):
+        proc = self.run_module("generate", "path", "100001")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: vertex count 100001 exceeds the limit of 100000\n"
+
+    def test_non_ascii_graph6_exits_2(self):
+        proc = self.run_module("twins", "-", "--format", "g6", stdin="A\u00e9\n")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: invalid graph6 character\n"
 
     def test_repeated_main_calls_match_fresh_processes(self, tmp_path):
         # main builds its parser once per process; an option given to one
@@ -364,3 +403,38 @@ class TestBench:
         assert code == 0
         assert "junk.el" in err
         assert "p4.el" in out
+
+
+# the package's public names; each module lists its own in __all__
+PUBLIC_NAMES = [
+    "AtomDecomposition", "CapExceededError", "DisconnectedGraphError", "Graph",
+    "GraphParseError", "InternalConsistencyError", "InvariantResult", "MembershipWitness",
+    "ReductionOutput", "TwinPartition", "WalkWitness", "blocked_set", "bowtie_graph",
+    "brute_force_atoms", "brute_force_wth", "brute_force_wtn", "clique_reduction",
+    "complete_graph", "connected_components", "cycle_graph", "decompose", "extremal_atoms",
+    "extreme_twin_classes", "extreme_vertices", "gnp_graph", "hull", "in_weakly_toll_walk",
+    "interval", "is_clique", "is_complete", "is_connected", "is_convex", "is_extreme_vertex",
+    "is_prime", "max_clique", "oracle_extreme", "oracle_hull", "oracle_interval",
+    "oracle_membership", "parse_edge_list", "parse_graph6", "path_graph",
+    "random_connected_gnp", "reduction_edge_list", "star_graph", "to_edge_list", "to_graph6",
+    "twin_classes", "wtc_exact", "wth", "wtn",
+]
+MODULES = [
+    "atoms", "convexity", "errors", "generators", "graph", "intervals", "invariants",
+    "oracle", "twins",
+]
+
+
+class TestPublicNames:
+    def test_all_snapshot(self):
+        assert w.__all__ == sorted(w.__all__) == PUBLIC_NAMES
+
+    def test_each_name_resolves_to_its_module(self):
+        for name in PUBLIC_NAMES:
+            value = getattr(w, name)
+            module = getattr(w, value.__module__.rpartition(".")[2])
+            assert name in module.__all__ and getattr(module, name) is value
+
+    def test_dir_holds_the_names_and_the_modules(self):
+        public = {name for name in dir(w) if not name.startswith("_")} - {"cli"}
+        assert public == set(PUBLIC_NAMES) | set(MODULES)

@@ -209,10 +209,18 @@ class TestGraph6:
         same_graph6_error("D?{{")
 
     @pytest.mark.parametrize(
-        "text", ["B@", "C~", "~?", "~~??", ">>graph6<<", "  ", "A\u00e9", "@", "A_", "?"]
+        "text", ["B@", "C~", "~?", "~~??", ">>graph6<<", "  ", "@", "A_", "?"]
     )
     def test_edge_cases_match_reference(self, text):
         assert_parses_like_reference(w.parse_graph6, reference_parse_graph6, text)
+
+    @pytest.mark.parametrize("text", ["A\u00e9", "\u00e9A", "A\udcc3"])
+    def test_non_ascii_character_is_refused(self, text):
+        # the reference decoder replaces a non-ASCII character with "?", a
+        # valid all-zero sextet, and so reads "A\u00e9" as two isolated
+        # vertices; the parser refuses it
+        with pytest.raises(GraphParseError, match="^invalid graph6 character$"):
+            w.parse_graph6(text)
 
     def test_vertex_limit(self):
         for n in (MAX_VERTICES + 1, 10**9):

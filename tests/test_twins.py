@@ -53,25 +53,6 @@ class TestTwinClasses:
                     assert g.has_edge(u, v)
 
 
-class TestRepresentatives:
-    def test_complete(self):
-        part = w.twin_classes(w.complete_graph(3))
-        assert w.representatives(part, range(3)) == {0}
-
-    def test_p4(self):
-        part = w.twin_classes(w.path_graph(4))
-        assert w.representatives(part, {0, 3}) == {0, 3}
-
-    def test_bowtie_exclusive_pair(self):
-        g = w.bowtie_graph()
-        part = w.twin_classes(g)
-        assert w.representatives(part, {3, 4}) == {3}
-
-    def test_least_member_of_intersection(self):
-        part = w.twin_classes(w.bowtie_graph())
-        assert w.representatives(part, {1, 4}) == {1, 4}
-
-
 class TestExtremeTwinClasses:
     def test_p4(self):
         g = w.path_graph(4)
