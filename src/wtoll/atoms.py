@@ -11,11 +11,10 @@ exponential recomputation ships alongside for testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError, InternalConsistencyError
-from .graph import Graph, _require_connected, bits, component_mask
+from .graph import Graph, _is_clique_mask, _require_connected, bits, component_mask
 
 __all__ = [
     "AtomDecomposition",
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AtomDecomposition:
+class AtomDecomposition(NamedTuple):
     """Atoms with their shared/exclusive vertex sets and extremal flags.
 
     ``shared[i]`` is the part of atom i lying in at least two atoms,
@@ -138,7 +136,7 @@ def _atom_masks(g: Graph) -> Iterator[int]:
             raise InternalConsistencyError(
                 "elimination ordering touched an already split-off vertex"
             )
-        if any(sep_mask & ~(1 << y) & ~masks[y] for y in bits(sep_mask)):
+        if not _is_clique_mask(masks, sep_mask):
             continue  # a minimal separator of H but not a clique in g
         comp = component_mask(masks, available & ~sep_mask, x)
         region = comp | sep_mask
@@ -227,7 +225,7 @@ def brute_force_atoms(g: Graph, cap: int = 12) -> list[frozenset[int]]:
         c = (a - 1) & a
         while c:
             rest = a & ~c
-            if rest and all(c & ~(1 << y) & ~masks[y] == 0 for y in bits(c)):
+            if rest and _is_clique_mask(masks, c):
                 start = (rest & -rest).bit_length() - 1
                 if component_mask(masks, rest, start) != rest:
                     return False

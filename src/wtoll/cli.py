@@ -36,22 +36,18 @@ from .generators import (
     path_graph,
     star_graph,
 )
-from .graph import MAX_VERTICES, Graph, parse_edge_list, parse_graph6, to_edge_list
+from .graph import (
+    MAX_VERTICES, Graph, _nonadjacent_pairs, parse_edge_list, parse_graph6, to_edge_list
+)
 from .intervals import extreme_vertices, hull, interval
-from .invariants import InvariantResult, _least_nonadjacent_pair, wth, wtn
+from .invariants import InvariantResult, wth, wtn
 from .twins import TwinPartition, twin_classes
 
 __all__ = ["main", "entry"]
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
-
-
 def _load_graph(path: str, fmt: str) -> Graph:
-    text = _read_text(path)
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     if fmt == "auto":
         fmt = "g6" if path.endswith(".g6") else "el"
     if fmt == "g6":
@@ -62,12 +58,6 @@ def _load_graph(path: str, fmt: str) -> Graph:
             raise GraphParseError("second graph; a graph6 input holds one graph", lines[1][0])
         return parse_graph6(lines[0][1])
     return parse_edge_list(text)
-
-
-def _timed(fn, *fn_args):
-    t0 = time.perf_counter()
-    out = fn(*fn_args)
-    return out, round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 def _set_out(command: str, s: frozenset[int]) -> tuple[dict, str]:
@@ -108,7 +98,7 @@ def _twins_out(command: str, part: TwinPartition) -> tuple[dict, str]:
 # command -> (help, run, out). ``run(g, args)`` names the library function
 # at call time, so a function swapped into this module's globals (a tracer,
 # a test double) is the one that runs; ``out(command, result)`` returns the
-# report payload, which the runner completes with "ms", and the --plain text.
+# report payload, which :func:`_run` completes with "ms", and the --plain text.
 _ANALYSES = {
     "interval": ("weakly toll interval I(S)", lambda g, a: interval(g, a.vertices), _set_out),
     "hull": ("weakly toll hull H(S)", lambda g, a: hull(g, a.vertices), _set_out),
@@ -121,12 +111,21 @@ _ANALYSES = {
 }
 
 
-def _cmd_analysis(args: argparse.Namespace) -> int:
-    _, run, out = _ANALYSES[args.command]
-    g = _load_graph(args.graph, args.format)
-    result, ms = _timed(run, g, args)
-    payload, plain = out(args.command, result)
+def _run(command: str, g: Graph, args: argparse.Namespace) -> tuple[dict, str]:
+    """Run one analysis on g, timed: its report payload, with "ms", and
+    its --plain text."""
+    _, run, out = _ANALYSES[command]
+    t0 = time.perf_counter()
+    result = run(g, args)
+    ms = round((time.perf_counter() - t0) * 1000.0, 3)
+    payload, plain = out(command, result)
     payload["ms"] = ms
+    return payload, plain
+
+
+def _cmd_analysis(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph, args.format)
+    payload, plain = _run(args.command, g, args)
     report = {
         "command": args.command,
         "input": {"n": g.n, "m": g.m, "hash": g.fingerprint()},
@@ -143,43 +142,40 @@ def _vertex_count(n: int) -> int:
     return n
 
 
-def _generate(args: argparse.Namespace) -> str:
-    family = args.family
-    params = args.params
-    simple = {
-        "path": path_graph,
-        "cycle": cycle_graph,
-        "complete": complete_graph,
-        "star": star_graph,
-    }
-    if family in simple:
-        if len(params) != 1:
-            raise ValueError(f"{family} takes one parameter: the vertex count")
-        return to_edge_list(simple[family](_vertex_count(int(params[0]))))
-    if family == "bowtie":
-        if params:
-            raise ValueError("bowtie takes no parameters")
-        return to_edge_list(bowtie_graph())
-    if family == "random-gnp":
-        if len(params) != 2:
-            raise ValueError("random-gnp takes two parameters: n and p")
-        n = _vertex_count(int(params[0]))
-        return to_edge_list(gnp_graph(n, float(params[1]), seed=args.seed))
-    if family == "clique-reduction":
-        if len(params) != 2:
-            raise ValueError("clique-reduction takes two parameters: a graph file and k")
-        g = _load_graph(params[0], args.format)
-        _vertex_count(g.n + g.n * (g.n - 1) // 2 - g.m)  # one added vertex per non-edge
-        return reduction_edge_list(clique_reduction(g, int(params[1])))
-    raise ValueError(f"unknown family {family!r}")
+def _reduction(params: list[str], args: argparse.Namespace) -> str:
+    g = _load_graph(params[0], args.format)
+    _vertex_count(g.n + g.n * (g.n - 1) // 2 - g.m)  # one added vertex per non-edge
+    return reduction_edge_list(clique_reduction(g, int(params[1])))
+
+
+# family -> (parameter count, what its usage error says it takes, build).
+# ``build(params, args)`` returns the edge-list text and, like the
+# _ANALYSES runners, names its generator at call time.
+_ONE = "one parameter: the vertex count"
+_FAMILIES = {
+    "path": (1, _ONE, lambda p, a: to_edge_list(path_graph(_vertex_count(int(p[0]))))),
+    "cycle": (1, _ONE, lambda p, a: to_edge_list(cycle_graph(_vertex_count(int(p[0]))))),
+    "complete": (1, _ONE, lambda p, a: to_edge_list(complete_graph(_vertex_count(int(p[0]))))),
+    "star": (1, _ONE, lambda p, a: to_edge_list(star_graph(_vertex_count(int(p[0]))))),
+    "bowtie": (0, "no parameters", lambda p, a: to_edge_list(bowtie_graph())),
+    "random-gnp": (2, "two parameters: n and p", lambda p, a: to_edge_list(
+        gnp_graph(_vertex_count(int(p[0])), float(p[1]), seed=a.seed))),
+    "clique-reduction": (2, "two parameters: a graph file and k", _reduction),
+}
+
+
+def _write(text: str, output: str | None) -> None:
+    if output:
+        Path(output).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    text = _generate(args)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    count, takes, build = _FAMILIES[args.family]
+    if len(args.params) != count:
+        raise ValueError(f"{args.family} takes {takes}")
+    _write(build(args.params, args), args.output)
     return 0
 
 
@@ -187,33 +183,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["graph", "n", "m", "op", "value", "ms"])
-    root = Path(args.corpus)
-    files = sorted(p for p in root.iterdir() if p.suffix in (".el", ".g6"))
-    for path in files:
+    for path in sorted(p for p in Path(args.corpus).iterdir() if p.suffix in (".el", ".g6")):
         try:
             g = _load_graph(str(path), args.format)
         except (OSError, GraphParseError) as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
-        pair = _least_nonadjacent_pair(g) or ((0, 1) if g.n >= 2 else (0,))
-        ops = [
-            ("interval", lambda: len(interval(g, pair))),
-            ("hull", lambda: len(hull(g, pair))),
-            ("wtn", lambda: wtn(g).value),
-            ("wth", lambda: wth(g).value),
-        ]
-        for name, fn in ops:
-            try:
-                value, ms = _timed(fn)
-            except (ValueError, CapExceededError) as exc:
-                print(f"warning: {path.name} {name}: {exc}", file=sys.stderr)
+        pair = next(_nonadjacent_pairs(g._masks, g._full), (0, 1) if g.n >= 2 else (0,))
+        op_args = argparse.Namespace(vertices=pair)
+        for command in ("interval", "hull", "wtn", "wth"):
+            try:  # on a fresh Graph, so each op starts from an empty pair memo
+                payload, _ = _run(command, Graph._from_masks(g.n, g._masks), op_args)
+            except ValueError as exc:
+                print(f"warning: {path.name} {command}: {exc}", file=sys.stderr)
                 continue
-            writer.writerow([path.name, g.n, g.m, name, value, ms])
-    text = out.getvalue()
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+            value = payload["size"] if "size" in payload else payload["value"]
+            writer.writerow([path.name, g.n, g.m, command, value, payload["ms"]])
+    _write(out.getvalue(), args.output)
     return 0
 
 
@@ -251,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a graph from a named family", parents=[common])
     p.add_argument(
         "family",
-        choices=("path", "cycle", "complete", "star", "bowtie", "random-gnp", "clique-reduction"),
+        choices=tuple(_FAMILIES),
     )
     p.add_argument("params", nargs="*")
     p.add_argument("--seed", type=int, default=0)
@@ -278,15 +264,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except DisconnectedGraphError as exc:
+    except (ValueError, OSError) as exc:  # GraphParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (GraphParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, DisconnectedGraphError):
+            return 3
+        return 4 if isinstance(exc, CapExceededError) else 2
 
 
 def entry() -> None:

@@ -17,11 +17,13 @@ pair of the input graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atoms import is_prime
 from .errors import CapExceededError, InternalConsistencyError
-from .graph import Graph, _require_connected, bits, is_complete, max_clique, to_edge_list
+from .graph import (
+    Graph, _nonadjacent_pairs, _require_connected, bits, is_complete, max_clique, to_edge_list
+)
 from .intervals import _pair_walk_mask, is_convex
 from .invariants import InvariantResult
 
@@ -30,8 +32,7 @@ __all__ = ["ReductionOutput", "wtc_exact", "clique_reduction", "reduction_edge_l
 DEFAULT_WTC_CAP = 16
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(NamedTuple):
     """Clique-hardness instance: ``g_prime`` with target ``k_prime``, plus
     the map from each added vertex to its nonadjacent source pair."""
 
@@ -147,13 +148,11 @@ def clique_reduction(g: Graph, k: int) -> ReductionOutput:
     edges = g.edges()
     added: dict[int, tuple[int, int]] = {}
     nxt = g.n
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                added[nxt] = (u, v)
-                edges.append((u, nxt))
-                edges.append((v, nxt))
-                nxt += 1
+    for u, v in _nonadjacent_pairs(g._masks, g._full):
+        added[nxt] = (u, v)
+        edges.append((u, nxt))
+        edges.append((v, nxt))
+        nxt += 1
     return ReductionOutput(Graph(nxt, edges), k, added)
 
 

@@ -350,21 +350,16 @@ def parse_graph6(line: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode in graph6 (inverse of :func:`parse_graph6`, bit-exact)."""
-    n = g.n
-    out = bytearray(_g6_encode_size(n))
-    acc = 0
-    nacc = 0
-    for v in range(1, n):
-        for u in range(v):
-            acc = (acc << 1) | (1 if g.has_edge(u, v) else 0)
-            nacc += 1
-            if nacc == 6:
-                out.append(acc + 63)
-                acc, nacc = 0, 0
-    if nacc:
-        out.append((acc << (6 - nacc)) + 63)
-    return out.decode("ascii")
+    """Encode in graph6 (inverse of :func:`parse_graph6`, bit-exact).
+
+    Column v is read off v's neighbor mask: its bits 0..v-1, lowest first.
+    """
+    digits = "".join(
+        format(g._masks[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)
+    )
+    digits += "0" * (-len(digits) % 6)
+    body = bytes(int(digits[i:i + 6], 2) + 63 for i in range(0, len(digits), 6))
+    return (_g6_encode_size(g.n) + body).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +405,22 @@ def _require_connected(g: Graph, message: str) -> None:
         raise DisconnectedGraphError(message)
 
 
+def _is_clique_mask(masks: Sequence[int], m: int) -> bool:
+    """True iff every two distinct vertices of mask ``m`` are adjacent."""
+    return not any(m & ~(1 << v) & ~masks[v] for v in bits(m))
+
+
+def _nonadjacent_pairs(masks: Sequence[int], within: int) -> Iterator[tuple[int, int]]:
+    """Yield the nonadjacent pairs (u, w), u < w, of mask ``within`` in
+    lexicographic order."""
+    for u in bits(within):
+        for w in bits(within & ~masks[u] & ~((2 << u) - 1)):  # non-neighbors above u
+            yield u, w
+
+
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """True iff every pair of distinct vertices in ``s`` is adjacent."""
-    smask = _check_subset(g, s)
-    for v in bits(smask):
-        if smask & ~(1 << v) & ~g._masks[v]:
-            return False
-    return True
+    return _is_clique_mask(g._masks, _check_subset(g, s))
 
 
 def is_complete(g: Graph) -> bool:

@@ -29,8 +29,7 @@ pairs (subset searches, fixpoint iterations) cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph, _check_subset, bits, component_mask
 
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
+class MembershipWitness(NamedTuple):
     """Certificate that v lies on a weakly toll (u, w)-walk.
 
     ``v_u`` is the walk's second vertex (a neighbor of u), ``v_w`` its

@@ -3,27 +3,31 @@
 Both solvers are case analyses over structure computed elsewhere: wtn
 searches a bounded window around the twin classes of extreme vertices,
 wth branches on the clique separator decomposition. Each result carries a
-witness set and the case tag naming the branch that fired, and every
-witness is re-verified (I(witness) = V resp. H(witness) = V) before it is
-returned. Exact brute-force counterparts for small graphs live here too.
+witness set and the case tag naming the branch that fired. wth verifies
+its witness (H(witness) = V) before returning it. wtn's witness covers V
+by construction, so it is not recomputed: the witness is
+S = R + (V - I(R)) for a candidate R, and I is extensive and monotone, so
+I(S) contains I(R) + S = V. Exact brute-force counterparts for small
+graphs live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .atoms import decompose, extremal_atoms
 from .errors import CapExceededError, InternalConsistencyError
-from .graph import Graph, _require_connected, bits, is_clique, is_complete, mask_of
+from .graph import (
+    Graph, _nonadjacent_pairs, _require_connected, bits, is_clique, is_complete, mask_of
+)
 from .intervals import _hull_mask, _interval_mask, hull, is_extreme_vertex
 from .twins import extreme_twin_classes, twin_classes
 
 __all__ = ["InvariantResult", "wtn", "wth", "brute_force_wtn", "brute_force_wth"]
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     """A computed invariant with its certifying set and solver branch."""
 
     value: int
@@ -117,7 +121,7 @@ def wth(g: Graph) -> InvariantResult:
 
     dec = decompose(g)
     if len(dec.atoms) == 1:
-        pair = _least_nonadjacent_pair(g)
+        pair = next(_nonadjacent_pairs(g._masks, g._full), None)
         if pair is None:
             raise InternalConsistencyError("no nonadjacent pair in a non-complete graph")
         return _verified(g, InvariantResult(2, frozenset(pair), "PRIME_PAIR"))
@@ -170,26 +174,17 @@ def _verified(g: Graph, result: InvariantResult) -> InvariantResult:
     return result
 
 
-def _least_nonadjacent_pair(g: Graph) -> tuple[int, int] | None:
-    """The lexicographically least nonadjacent pair; None if g is complete."""
-    for u, mask in enumerate(g._masks):
-        above = g._full & ~mask & ~((2 << u) - 1)  # non-neighbors above u
-        if above:
-            return u, (above & -above).bit_length() - 1
-    return None
-
-
 def _nonclique_exclusive_pair(
     g: Graph, exclusive: frozenset[int], shared: frozenset[int]
 ) -> tuple[int, int]:
     # candidates per the separator structure: exclusive vertices with a
     # neighbor in the atom's shared clique; a nonadjacent pair among them
     # always exists when the exclusive set is not a clique
-    anchored = sorted(v for v in exclusive if g.neighbors(v) & shared)
-    for a, u in enumerate(anchored):
-        for w in anchored[a + 1:]:
-            if not g.has_edge(u, w):
-                return u, w
+    masks = g._masks
+    shared_mask = mask_of(shared)
+    anchored = mask_of(v for v in exclusive if masks[v] & shared_mask)
+    for pair in _nonadjacent_pairs(masks, anchored):
+        return pair
     raise InternalConsistencyError(
         "non-clique exclusive set yielded no anchored nonadjacent pair"
     )

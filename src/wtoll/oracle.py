@@ -15,8 +15,7 @@ cut off there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, InternalConsistencyError
 from .graph import Graph
@@ -32,8 +31,7 @@ __all__ = [
 DEFAULT_CAP = 9
 
 
-@dataclass(frozen=True)
-class WalkWitness:
+class WalkWitness(NamedTuple):
     """A concrete weakly toll walk, stored as its vertex sequence."""
 
     sequence: tuple[int, ...]

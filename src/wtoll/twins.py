@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
-from .graph import Graph, is_complete, is_connected
+from .graph import Graph, _require_connected, is_complete
 from .intervals import extreme_vertices
 
 __all__ = ["TwinPartition", "twin_classes", "extreme_twin_classes"]
 
 
-@dataclass(frozen=True)
-class TwinPartition:
+class TwinPartition(NamedTuple):
     """Partition of V into maximal true-twin classes (equal closed
     neighborhoods), ordered by least member."""
 
@@ -49,8 +48,7 @@ def extreme_twin_classes(g: Graph, p: TwinPartition) -> list[int]:
     membership machinery is broken, so either is reported as an internal
     error rather than returned.
     """
-    if not is_connected(g):
-        raise ValueError("extreme twin classes are defined for connected graphs")
+    _require_connected(g, "extreme twin classes are defined for connected graphs")
     if is_complete(g):
         raise ValueError("extreme twin classes are defined for non-complete graphs")
     ext = extreme_vertices(g)

@@ -220,6 +220,11 @@ class TestFormatsAndInput:
         code, out, _ = run(["wtn", "-"], stdin=w.to_edge_list(w.path_graph(4)))
         assert code == 0 and json.loads(out)["result"]["value"] == 2
 
+    def test_all_blank_graph6_is_2(self, tmp_path):
+        path = tmp_path / "blank.g6"
+        path.write_text("\n  \n\t\n")
+        assert run(["wth", str(path)]) == (2, "", "error: empty graph6 input\n")
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):
@@ -377,6 +382,20 @@ class TestGenerate:
         assert code == 0
         assert w.parse_edge_list(target.read_text()) == w.path_graph(6)
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["path"], "path takes one parameter: the vertex count"),
+            (["bowtie", "3"], "bowtie takes no parameters"),
+            (["random-gnp", "10"], "random-gnp takes two parameters: n and p"),
+            (["clique-reduction", "g.el"], "clique-reduction takes two parameters: a graph file and k"),
+            (["cycle", "2"], "a cycle needs at least 3 vertices"),
+        ],
+        ids=["path", "bowtie", "random-gnp", "clique-reduction", "cycle-2"],
+    )
+    def test_wrong_parameters_are_2(self, argv, message):
+        assert run(["generate", *argv]) == (2, "", f"error: {message}\n")
+
 
 class TestBench:
     def test_header_and_rows(self, tmp_path):
@@ -404,6 +423,46 @@ class TestBench:
         assert "junk.el" in err
         assert "p4.el" in out
 
+    def test_failing_op_warns_and_the_others_run(self, tmp_path):
+        (tmp_path / "dis.el").write_text("4 1\n0 1\n")
+        code, out, err = run(["bench", str(tmp_path)])
+        assert code == 0
+        assert [line.rpartition(",")[0] for line in out.splitlines()[1:]] == [
+            "dis.el,4,1,interval,2",
+            "dis.el,4,1,hull,2",
+        ]
+        assert err == "".join(
+            f"warning: dis.el {op}: invariant is defined for connected graphs only\n"
+            for op in ("wtn", "wth")
+        )
+
+    def test_output_file(self, tmp_path):
+        (tmp_path / "p4.el").write_text(w.to_edge_list(w.path_graph(4)))
+        target = tmp_path / "bench.csv"
+        code, out, _ = run(["bench", str(tmp_path), "--output", str(target)])
+        assert (code, out) == (0, "")
+        lines = target.read_text().splitlines()
+        assert lines[0] == "graph,n,m,op,value,ms" and len(lines) == 5
+
+    def test_each_op_starts_from_an_empty_pair_memo(self, tmp_path, monkeypatch):
+        # the ms column times what ``wtoll <op> FILE`` times: no op may
+        # read walk masks an earlier op left in the memo
+        import wtoll.cli
+
+        (tmp_path / "p4.el").write_text(w.to_edge_list(w.path_graph(4)))
+        memo_sizes = []
+        for name in ("interval", "hull", "wtn", "wth"):
+            real = getattr(wtoll.cli, name)
+
+            def recording(g, *args, real=real, name=name):
+                memo_sizes.append((name, len(g._pair_cache)))
+                return real(g, *args)
+
+            monkeypatch.setattr(wtoll.cli, name, recording)
+        code, _, _ = run(["bench", str(tmp_path)])
+        assert code == 0
+        assert memo_sizes == [("interval", 0), ("hull", 0), ("wtn", 0), ("wth", 0)]
+
 
 # the package's public names; each module lists its own in __all__
 PUBLIC_NAMES = [
@@ -423,6 +482,48 @@ MODULES = [
     "atoms", "convexity", "errors", "generators", "graph", "intervals", "invariants",
     "oracle", "twins",
 ]
+
+
+class TestResultRecords:
+    """The result records are immutable named tuples with a stable repr."""
+
+    RECORDS = [
+        (
+            lambda: w.wtn(w.path_graph(4)),
+            "InvariantResult(value=2, witness=frozenset({0, 3}), case_tag='WTN_K2')",
+        ),
+        (
+            lambda: w.in_weakly_toll_walk(w.path_graph(4), 0, 3, 1),
+            "MembershipWitness(v_u=1, v_w=2, component=frozenset({1, 2}))",
+        ),
+        (
+            lambda: w.decompose(w.path_graph(3)),
+            "AtomDecomposition(atoms=(frozenset({0, 1}), frozenset({1, 2})), "
+            "shared=(frozenset({1}), frozenset({1})), exclusive=(frozenset({0}), "
+            "frozenset({2})), extremal=(True, True), partner=(1, 0))",
+        ),
+        (
+            lambda: w.twin_classes(w.bowtie_graph()),
+            "TwinPartition(classes=(frozenset({0, 1}), frozenset({2}), frozenset({3, 4})), "
+            "class_of=(0, 0, 1, 2, 2))",
+        ),
+        (
+            lambda: w.clique_reduction(w.path_graph(3), 3),
+            "ReductionOutput(g_prime=Graph(n=4, m=4), k_prime=3, added={3: (0, 2)})",
+        ),
+        (
+            lambda: w.oracle_membership(w.path_graph(4), 0, 3, 1),
+            "WalkWitness(sequence=(0, 1, 2, 3))",
+        ),
+    ]
+
+    @pytest.mark.parametrize("make,text", RECORDS, ids=[t.partition("(")[0] for _, t in RECORDS])
+    def test_repr_and_immutability(self, make, text):
+        record = make()
+        assert repr(record) == text
+        assert isinstance(record, tuple) and record == tuple(record)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
 
 
 class TestPublicNames:

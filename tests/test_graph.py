@@ -10,7 +10,14 @@ from hypothesis import given
 
 import wtoll as w
 from wtoll import Graph, GraphParseError
-from wtoll.graph import _NOT_PLAIN_LINE, MAX_VERTICES, _g6_encode_size
+from wtoll.graph import (
+    _NOT_PLAIN_LINE,
+    MAX_VERTICES,
+    _g6_encode_size,
+    _is_clique_mask,
+    _nonadjacent_pairs,
+    mask_of,
+)
 
 from _reference import reference_fingerprint, reference_parse_edge_list, reference_parse_graph6
 from _strategies import graphs
@@ -383,6 +390,38 @@ class TestCliques:
             )
             assert len(w.max_clique(g)) == len(best)
 
+
+
+class TestMaskScans:
+    """The shared clique test and nonadjacent-pair scan against their
+    pairwise definitions, on whole graphs and on random sub-masks."""
+
+    @staticmethod
+    def check(g, within):
+        pairs = list(combinations([v for v in range(g.n) if within >> v & 1], 2))
+        assert list(_nonadjacent_pairs(g._masks, within)) == [
+            (u, v) for u, v in pairs if not g.has_edge(u, v)
+        ]
+        assert _is_clique_mask(g._masks, within) == all(g.has_edge(u, v) for u, v in pairs)
+
+    def test_corpus(self, corpus):
+        rng = random.Random(4)
+        for g in corpus:
+            self.check(g, g._full)
+            self.check(g, rng.getrandbits(g.n))
+
+    def test_random_graphs_and_submasks(self):
+        rng = random.Random(10)
+        for i in range(300):
+            n = rng.randint(0, 40)
+            g = w.gnp_graph(n, rng.choice((0.0, 0.1, 0.5, 0.9, 1.0)), seed=i)
+            self.check(g, g._full)
+            for _ in range(4):
+                self.check(g, rng.getrandbits(n))
+            # cliques, so that the positive answer is reached on larger masks
+            clique = mask_of(w.max_clique(g))
+            self.check(g, clique)
+            self.check(g, clique & rng.getrandbits(n))
 
 class TestBulkIOMatchesReference:
     """The bulk parsers and the fingerprint against the line loop and bit

@@ -77,7 +77,7 @@ class TestExtremeTwinClasses:
 
     def test_rejects_disconnected(self):
         g = w.Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(w.DisconnectedGraphError):
             w.extreme_twin_classes(g, w.twin_classes(g))
 
     def test_at_most_two_and_class_uniform(self, corpus):
