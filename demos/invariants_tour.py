@@ -24,11 +24,6 @@ def main():
                             (3, 4), (4, 5), (5, 6), (6, 3)])
     report("K4 + C4 glued", kite_tail)
 
-    print("\nsmall-scale exactness, cross-checked by enumeration:")
-    for name, g in [("P4", w.path_graph(4)), ("bowtie", w.bowtie_graph())]:
-        print(f"  {name}: brute wtn={w.brute_force_wtn(g).value},"
-              f" brute wth={w.brute_force_wth(g).value}")
-
     print("\nconvexity number wtc (max proper convex set):")
     for name, g in [("P4", w.path_graph(4)), ("C5", w.cycle_graph(5)),
                     ("K6", w.complete_graph(6))]:

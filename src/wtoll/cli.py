@@ -181,7 +181,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     out = io.StringIO()
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["graph", "n", "m", "op", "value", "ms"])
     for path in sorted(p for p in Path(args.corpus).iterdir() if p.suffix in (".el", ".g6")):
         try:
@@ -189,7 +189,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (OSError, GraphParseError) as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
-        pair = next(_nonadjacent_pairs(g._masks, g._full), (0, 1) if g.n >= 2 else (0,))
+        pair = next(_nonadjacent_pairs(g._masks, g._full), tuple(range(min(g.n, 2))))
         op_args = argparse.Namespace(vertices=pair)
         for command in ("interval", "hull", "wtn", "wth"):
             try:  # on a fresh Graph, so each op starts from an empty pair memo

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph, is_connected
+from .graph import Graph
 
 __all__ = [
     "path_graph",
@@ -13,7 +13,6 @@ __all__ = [
     "star_graph",
     "bowtie_graph",
     "gnp_graph",
-    "random_connected_gnp",
 ]
 
 
@@ -48,12 +47,3 @@ def gnp_graph(n: int, p: float, seed: int = 0) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
-
-
-def random_connected_gnp(n: int, p: float, seed: int = 0, max_tries: int = 10000) -> Graph:
-    """First connected G(n, p) sample along a seed-derived sequence."""
-    for t in range(max_tries):
-        g = gnp_graph(n, p, seed=seed * 1000003 + t)
-        if is_connected(g):
-            return g
-    raise RuntimeError(f"no connected G({n}, {p}) sample after {max_tries} tries")

@@ -23,7 +23,6 @@ __all__ = [
     "to_edge_list",
     "parse_graph6",
     "to_graph6",
-    "connected_components",
     "is_connected",
     "is_clique",
     "is_complete",
@@ -128,9 +127,6 @@ class Graph:
             for u, mask in enumerate(self._masks)
             for v in bits(mask >> (u + 1) << (u + 1))  # the neighbors above u
         ]
-
-    def neighbor_mask(self, v: int) -> int:
-        return self._masks[v]
 
     def fingerprint(self) -> str:
         """Stable short hash of the adjacency structure.
@@ -373,23 +369,6 @@ def _check_subset(g: Graph, s: Iterable[int]) -> int:
             raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
         m |= 1 << v
     return m
-
-
-def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
-    """Components of the subgraph induced by V minus ``removed``.
-
-    Returned sets partition V minus ``removed`` and are ordered by least
-    member.
-    """
-    allowed = g._full & ~_check_subset(g, removed)
-    comps = []
-    rest = allowed
-    while rest:
-        start = (rest & -rest).bit_length() - 1
-        comp = component_mask(g._masks, allowed, start)
-        comps.append(frozenset(bits(comp)))
-        rest &= ~comp
-    return comps
 
 
 def is_connected(g: Graph) -> bool:

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, _check_subset, bits, component_mask
+from .graph import Graph, _check_subset, _nonadjacent_pairs, bits, component_mask
 
 __all__ = [
     "MembershipWitness",
-    "blocked_set",
     "in_weakly_toll_walk",
     "interval",
     "hull",
@@ -56,23 +55,6 @@ class MembershipWitness(NamedTuple):
     v_u: int
     v_w: int
     component: frozenset[int]
-
-
-def blocked_set(g: Graph, u: int, w: int, v_u: int, v_w: int) -> frozenset[int]:
-    """The set (N[u] - v_u) union (N[w] - v_w) removed when testing walks."""
-    _check_subset(g, (u, w, v_u, v_w))
-    if u == w:
-        raise ValueError("walk endpoints must be distinct")
-    if g.has_edge(u, w):
-        raise ValueError("walk endpoints must be nonadjacent")
-    if not g.has_edge(u, v_u):
-        raise ValueError(f"{v_u} is not a neighbor of {u}")
-    if not g.has_edge(w, v_w):
-        raise ValueError(f"{v_w} is not a neighbor of {w}")
-    masks = g._masks
-    closed_u = masks[u] | (1 << u)
-    closed_w = masks[w] | (1 << w)
-    return frozenset(bits((closed_u & ~(1 << v_u)) | (closed_w & ~(1 << v_w))))
 
 
 class _BaseLabels:
@@ -193,17 +175,12 @@ def _pair_walk_mask(g: Graph, u: int, w: int) -> int:
 def _interval_mask(g: Graph, smask: int) -> int:
     marked = smask
     full = g._full
-    verts = list(bits(smask))
-    for i, u in enumerate(verts):
+    if marked == full:
+        return marked
+    for u, w in _nonadjacent_pairs(g._masks, smask):
+        marked |= _pair_walk_mask(g, u, w)
         if marked == full:
             break
-        mu = g._masks[u]
-        for w in verts[i + 1:]:
-            if mu >> w & 1:
-                continue
-            marked |= _pair_walk_mask(g, u, w)
-            if marked == full:
-                break
     return marked
 
 

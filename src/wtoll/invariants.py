@@ -7,8 +7,7 @@ witness set and the case tag naming the branch that fired. wth verifies
 its witness (H(witness) = V) before returning it. wtn's witness covers V
 by construction, so it is not recomputed: the witness is
 S = R + (V - I(R)) for a candidate R, and I is extensive and monotone, so
-I(S) contains I(R) + S = V. Exact brute-force counterparts for small
-graphs live here too.
+I(S) contains I(R) + S = V.
 """
 
 from __future__ import annotations
@@ -17,14 +16,14 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .atoms import decompose, extremal_atoms
-from .errors import CapExceededError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .graph import (
     Graph, _nonadjacent_pairs, _require_connected, bits, is_clique, is_complete, mask_of
 )
-from .intervals import _hull_mask, _interval_mask, hull, is_extreme_vertex
+from .intervals import _interval_mask, hull, is_extreme_vertex
 from .twins import extreme_twin_classes, twin_classes
 
-__all__ = ["InvariantResult", "wtn", "wth", "brute_force_wtn", "brute_force_wth"]
+__all__ = ["InvariantResult", "wtn", "wth"]
 
 
 class InvariantResult(NamedTuple):
@@ -200,33 +199,4 @@ def _two_extremal_choice(
             return v
     raise InternalConsistencyError(
         "non-complete extremal atom has no exclusive vertex missing a shared neighbor"
-    )
-
-
-# ---------------------------------------------------------------------------
-# brute force (testing oracles)
-# ---------------------------------------------------------------------------
-
-def _brute_force(g: Graph, covers, cap: int, tag: str) -> InvariantResult:
-    _require_connected(g, _DISCONNECTED)
-    if g.n > cap:
-        raise CapExceededError(f"brute force refused: n={g.n} exceeds cap {cap}")
-    for size in range(1, g.n + 1):
-        for s in combinations(range(g.n), size):
-            if covers(g, mask_of(s)):
-                return InvariantResult(size, frozenset(s), tag)
-    raise InternalConsistencyError("V(G) itself failed to cover the graph")
-
-
-def brute_force_wtn(g: Graph, cap: int = 10) -> InvariantResult:
-    """Exact wtn by subset enumeration in increasing cardinality."""
-    return _brute_force(
-        g, lambda g, smask: _interval_mask(g, smask) == g._full, cap, "BRUTE_FORCE"
-    )
-
-
-def brute_force_wth(g: Graph, cap: int = 10) -> InvariantResult:
-    """Exact wth by subset enumeration in increasing cardinality."""
-    return _brute_force(
-        g, lambda g, smask: _hull_mask(g, smask) == g._full, cap, "BRUTE_FORCE"
     )

@@ -24,8 +24,6 @@ __all__ = [
     "WalkWitness",
     "oracle_membership",
     "oracle_interval",
-    "oracle_hull",
-    "oracle_extreme",
 ]
 
 DEFAULT_CAP = 9
@@ -158,28 +156,4 @@ def oracle_interval(g: Graph, s: Iterable[int], cap: int = DEFAULT_CAP) -> froze
             for a, b in _pairs(sset, g)
         ):
             out.add(v)
-    return frozenset(out)
-
-
-def oracle_hull(g: Graph, s: Iterable[int], cap: int = DEFAULT_CAP) -> frozenset[int]:
-    """H(S) recomputed purely from enumerated walks."""
-    cur = frozenset(s)
-    while True:
-        nxt = oracle_interval(g, cur, cap=cap)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
-def oracle_extreme(g: Graph, cap: int = DEFAULT_CAP) -> frozenset[int]:
-    """ext(G) recomputed purely from enumerated walks."""
-    _check_cap(g, cap)
-    out = set()
-    for x in range(g.n):
-        others = [y for y in range(g.n) if y != x]
-        if all(
-            oracle_membership(g, a, b, x, cap=cap) is None
-            for a, b in _pairs(others, g)
-        ):
-            out.add(x)
     return frozenset(out)

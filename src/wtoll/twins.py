@@ -26,8 +26,8 @@ def twin_classes(g: Graph) -> TwinPartition:
     perfect canonical key; no modular decomposition machinery is needed.
     """
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.neighbor_mask(v) | (1 << v), []).append(v)
+    for v, mask in enumerate(g._masks):
+        groups.setdefault(mask | (1 << v), []).append(v)
     # a class enters the dict at its least member, so insertion order is
     # already the order by least member
     classes = tuple(map(frozenset, groups.values()))

@@ -4,6 +4,12 @@
   of the component criterion, one component sweep of G minus the blocked
   set for every neighbor pair. The library's base-labelling kernel must
   agree with them bit for bit.
+- The interval as the double loop over the members of S, checking
+  "I(S) = V?" before each first endpoint; the library's loop over the
+  shared nonadjacent-pair scan must return the same mask and fill the
+  pair memo in the same order.
+- H(S) and the extreme vertices from the walk-enumeration oracle
+  (``wtoll.oracle``), sharing no logic with the library's operators.
 - MCS-M on adjacency sets, with the triangulation kept as sets and a
   Dial-bucket relaxation per vertex; the library's bucketed bitmask MCS-M
   must return the same ordering, generators and triangulation.
@@ -25,6 +31,8 @@
   tuples. The library's bulk parsers must return equal graphs and raise
   the same message at the same line, and its fingerprint must be the same
   string.
+- wtn and wth by brute force: every subset in increasing size and
+  lexicographic order, the first whose interval (hull) is V.
 - wtc by the exhaustive scan: the COMPLETE and PRIME_MAX_CLIQUE branches,
   then every size-s subset from ``combinations`` with one convexity test
   each, for s = n - 1 down to 1; the library's pruned depth-first search
@@ -35,10 +43,11 @@ import hashlib
 from itertools import combinations
 
 from wtoll.atoms import AtomDecomposition, is_prime
-from wtoll.errors import GraphParseError, InternalConsistencyError
+from wtoll.errors import CapExceededError, GraphParseError, InternalConsistencyError
 from wtoll.graph import (
     Graph,
     _check_subset,
+    _require_connected,
     bits,
     component_mask,
     is_complete,
@@ -47,12 +56,14 @@ from wtoll.graph import (
 )
 from wtoll.intervals import (
     MembershipWitness,
+    _hull_mask,
     _interval_mask,
     _pair_walk_mask,
     in_weakly_toll_walk,
     is_convex,
 )
-from wtoll.invariants import InvariantResult
+from wtoll.invariants import _DISCONNECTED, InvariantResult
+from wtoll.oracle import DEFAULT_CAP, _check_cap, _pairs, oracle_interval, oracle_membership
 from wtoll.twins import extreme_twin_classes, twin_classes
 
 
@@ -91,6 +102,49 @@ def reference_in_weakly_toll_walk(g, u, w, v):
             if comp >> v_w & 1 and comp >> v & 1:
                 return MembershipWitness(v_u, v_w, frozenset(bits(comp)))
     return None
+
+
+def reference_interval_mask(g, smask):
+    """I(S) as a mask by the double loop over the members of S, in
+    lexicographic pair order, stopping once every vertex is marked."""
+    marked = smask
+    full = g._full
+    verts = list(bits(smask))
+    for i, u in enumerate(verts):
+        if marked == full:
+            break
+        mu = g._masks[u]
+        for w in verts[i + 1:]:
+            if mu >> w & 1:
+                continue
+            marked |= _pair_walk_mask(g, u, w)
+            if marked == full:
+                break
+    return marked
+
+
+def oracle_hull(g, s, cap=DEFAULT_CAP):
+    """H(S) recomputed purely from enumerated walks."""
+    cur = frozenset(s)
+    while True:
+        nxt = oracle_interval(g, cur, cap=cap)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def oracle_extreme(g, cap=DEFAULT_CAP):
+    """ext(G) recomputed purely from enumerated walks."""
+    _check_cap(g, cap)
+    out = set()
+    for x in range(g.n):
+        others = [y for y in range(g.n) if y != x]
+        if all(
+            oracle_membership(g, a, b, x, cap=cap) is None
+            for a, b in _pairs(others, g)
+        ):
+            out.add(x)
+    return frozenset(out)
 
 
 def interval_members(g, s):
@@ -293,6 +347,31 @@ def reference_wtn_twin_filter(g):
             f"no weakly toll interval set found in the k={k} search window"
         )
     return InvariantResult(best[0], frozenset(bits(best[1])), f"WTN_K{k}")
+
+
+def _brute_force(g, covers, cap, tag):
+    _require_connected(g, _DISCONNECTED)
+    if g.n > cap:
+        raise CapExceededError(f"brute force refused: n={g.n} exceeds cap {cap}")
+    for size in range(1, g.n + 1):
+        for s in combinations(range(g.n), size):
+            if covers(g, mask_of(s)):
+                return InvariantResult(size, frozenset(s), tag)
+    raise InternalConsistencyError("V(G) itself failed to cover the graph")
+
+
+def brute_force_wtn(g, cap=10):
+    """Exact wtn by subset enumeration in increasing cardinality."""
+    return _brute_force(
+        g, lambda g, smask: _interval_mask(g, smask) == g._full, cap, "BRUTE_FORCE"
+    )
+
+
+def brute_force_wth(g, cap=10):
+    """Exact wth by subset enumeration in increasing cardinality."""
+    return _brute_force(
+        g, lambda g, smask: _hull_mask(g, smask) == g._full, cap, "BRUTE_FORCE"
+    )
 
 
 def reference_parse_edge_list(text):

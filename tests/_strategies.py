@@ -1,10 +1,37 @@
-"""Hypothesis strategies and fixed graph families shared by the tests."""
+"""Hypothesis strategies, fixed graph families and graph helpers shared by the tests."""
 
 import random
 
 from hypothesis import strategies as st
 
 import wtoll as w
+from wtoll.graph import _check_subset, bits, component_mask
+
+
+def connected_components(g, removed=()):
+    """Components of the subgraph induced by V minus ``removed``.
+
+    Returned sets partition V minus ``removed`` and are ordered by least
+    member.
+    """
+    allowed = g._full & ~_check_subset(g, removed)
+    comps = []
+    rest = allowed
+    while rest:
+        start = (rest & -rest).bit_length() - 1
+        comp = component_mask(g._masks, allowed, start)
+        comps.append(frozenset(bits(comp)))
+        rest &= ~comp
+    return comps
+
+
+def random_connected_gnp(n, p, seed=0, max_tries=10000):
+    """First connected G(n, p) sample along a seed-derived sequence."""
+    for t in range(max_tries):
+        g = w.gnp_graph(n, p, seed=seed * 1000003 + t)
+        if w.is_connected(g):
+            return g
+    raise RuntimeError(f"no connected G({n}, {p}) sample after {max_tries} tries")
 
 
 @st.composite
@@ -22,7 +49,7 @@ def graphs(draw, min_n=1, max_n=10):
 @st.composite
 def connected_graphs(draw, min_n=1, max_n=9):
     g = draw(graphs(min_n=min_n, max_n=max_n))
-    comps = w.connected_components(g)
+    comps = connected_components(g)
     if len(comps) > 1:
         stitches = [(min(a), min(b)) for a, b in zip(comps, comps[1:])]
         g = w.Graph(g.n, g.edges() + stitches)
@@ -57,7 +84,7 @@ def clique_chain(count, size):
 def giant_component(g):
     """The largest connected component of g (the first one on a tie),
     relabelled 0..k-1 in increasing vertex order."""
-    comp = sorted(max(w.connected_components(g), key=len))
+    comp = sorted(max(connected_components(g), key=len))
     index = {v: i for i, v in enumerate(comp)}
     return w.Graph(
         len(comp),

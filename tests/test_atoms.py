@@ -10,16 +10,13 @@ from wtoll.atoms import _mcs_m, brute_force_atoms
 from wtoll.graph import mask_of
 
 from _reference import reference_annotate, reference_mcs_m
-from _strategies import caterpillar, clique_chain, connected_graphs, giant_component
-
-
-def triangle_chain(k):
-    """k triangles glued in a path at cut vertices 2, 4, 6, ..."""
-    edges = []
-    for t in range(k):
-        a, b, c = 2 * t, 2 * t + 1, 2 * t + 2
-        edges += [(a, b), (a, c), (b, c)]
-    return w.Graph(2 * k + 1, edges)
+from _strategies import (
+    caterpillar,
+    clique_chain,
+    connected_graphs,
+    giant_component,
+    random_connected_gnp,
+)
 
 
 class TestIsPrime:
@@ -87,7 +84,7 @@ class TestDecompose:
 
 def _mcs_m_graphs():
     yield from (w.gnp_graph(n, 4 / n, seed=n) for n in (40, 120, 300))
-    yield from (w.random_connected_gnp(n, 0.2, seed=n) for n in (20, 60))
+    yield from (random_connected_gnp(n, 0.2, seed=n) for n in (20, 60))
     yield w.path_graph(300)
     yield caterpillar(100, 2)
     yield clique_chain(100, 4)
@@ -123,10 +120,10 @@ class TestMcsM:
 def _annotate_graphs():
     rng = random.Random(2004)
     for _ in range(200):
-        yield w.random_connected_gnp(
+        yield random_connected_gnp(
             rng.randint(2, 12), rng.choice((0.15, 0.25, 0.4, 0.6)), seed=rng.randrange(10**6)
         )
-    yield triangle_chain(6)
+    yield clique_chain(6, 3)
     yield w.path_graph(40)
     yield caterpillar(20, 2)
     yield clique_chain(12, 4)
@@ -172,12 +169,12 @@ class TestExtremalAtoms:
         assert w.extremal_atoms(d) == [0, 1]
 
     def test_triangle_chain_ends(self):
-        d = w.decompose(triangle_chain(4))
+        d = w.decompose(clique_chain(4, 3))
         idxs = w.extremal_atoms(d)
         assert [sorted(d.atoms[i]) for i in idxs] == [[0, 1, 2], [6, 7, 8]]
 
     def test_partner_dominates_intersections(self):
-        d = w.decompose(triangle_chain(3))
+        d = w.decompose(clique_chain(3, 3))
         for i in w.extremal_atoms(d):
             j = d.partner[i]
             assert d.shared[i] == d.atoms[i] & d.atoms[j]

@@ -4,7 +4,7 @@ import pytest
 
 import wtoll as w
 from _reference import reference_wtc_exhaustive
-from _strategies import caterpillar, clique_chain
+from _strategies import caterpillar, clique_chain, random_connected_gnp
 from wtoll import CapExceededError
 from wtoll.convexity import DEFAULT_WTC_CAP, reduction_edge_list
 
@@ -15,7 +15,7 @@ def _reducible_gnp(n, p, count, seed=0):
     out = []
     while len(out) < count:
         seed += 1
-        g = w.random_connected_gnp(n, p, seed=seed)
+        g = random_connected_gnp(n, p, seed=seed)
         if not w.is_complete(g) and not w.is_prime(g):
             out.append(g)
     return out

@@ -8,7 +8,7 @@ import pytest
 import wtoll as w
 
 from _reference import reference_extreme_scan
-from _strategies import caterpillar, clique_chain, clique_layer_graph
+from _strategies import caterpillar, clique_chain, clique_layer_graph, connected_components
 
 
 def _random_graphs():
@@ -108,7 +108,7 @@ class TestDisconnectedSparse:
     def test_small_components_match_reference(self, graph):
         ext = w.extreme_vertices(graph)
         checked = 0
-        for comp in w.connected_components(graph):
+        for comp in connected_components(graph):
             if len(comp) > 30:
                 continue
             order = sorted(comp)

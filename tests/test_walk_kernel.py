@@ -9,7 +9,7 @@ import wtoll.intervals as intervals
 from wtoll.intervals import _pair_walk_mask
 
 from _reference import reference_in_weakly_toll_walk, reference_pair_walk_mask
-from _strategies import caterpillar, clique_chain
+from _strategies import caterpillar, clique_chain, connected_components, random_connected_gnp
 
 
 def _nonadjacent_pairs(g):
@@ -22,14 +22,14 @@ def _nonadjacent_pairs(g):
 def _random_graphs(count=300, max_n=12):
     rng = random.Random(2303)
     return [
-        w.random_connected_gnp(rng.randint(2, max_n), rng.choice((0.2, 0.35, 0.5, 0.7)),
+        random_connected_gnp(rng.randint(2, max_n), rng.choice((0.2, 0.35, 0.5, 0.7)),
                                seed=rng.randrange(10**6))
         for _ in range(count)
     ]
 
 
 LARGER = {
-    "gnp60": w.random_connected_gnp(60, 0.3, seed=7),
+    "gnp60": random_connected_gnp(60, 0.3, seed=7),
     "path40": w.path_graph(40),
     "caterpillar": caterpillar(15, 2),
     "clique_chain": clique_chain(8, 4),
@@ -104,12 +104,12 @@ def test_cold_pair_sweeps_each_base_component_at_most_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(intervals, "component_mask", counted)
-    g = w.random_connected_gnp(120, 0.3, seed=11)
+    g = random_connected_gnp(120, 0.3, seed=11)
     pairs = list(_nonadjacent_pairs(g))[::25]
     assert len(pairs) > 100
     for u, v in pairs:
         closed = g.neighbors(u) | g.neighbors(v) | {u, v}
-        base_components = len(w.connected_components(g, removed=closed))
+        base_components = len(connected_components(g, removed=closed))
         g._pair_cache.clear()
         sweeps = 0
         _pair_walk_mask(g, u, v)
