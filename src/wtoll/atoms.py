@@ -20,7 +20,6 @@ __all__ = [
     "AtomDecomposition",
     "decompose",
     "is_prime",
-    "extremal_atoms",
     "brute_force_atoms",
 ]
 
@@ -198,13 +197,6 @@ def is_prime(g: Graph) -> bool:
 
     Stops at the first clique separator the walk finds."""
     return next(_atom_masks(g)) == g._full
-
-
-def extremal_atoms(d: AtomDecomposition) -> list[int]:
-    """Indices of extremal atoms; defined only for reducible graphs."""
-    if len(d.atoms) < 2:
-        raise ValueError("extremal atoms are defined for decompositions with >= 2 atoms")
-    return [i for i, flag in enumerate(d.extremal) if flag]
 
 
 def brute_force_atoms(g: Graph, cap: int = 12) -> list[frozenset[int]]:

@@ -208,20 +208,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wtoll",
         description="Weakly toll walks, intervals, hulls, and convexity invariants.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument(
         "--format",
         choices=("auto", "el", "g6"),
         default="auto",
         help="graph file format (default: by extension, .g6 = graph6, else edge list)",
     )
-    common.add_argument(
-        "--plain", action="store_true", help="human-readable output instead of JSON"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, (doc, _, _) in _ANALYSES.items():
-        p = sub.add_parser(name, help=doc, parents=[common])
+        p = sub.add_parser(name, help=doc, parents=[formats])
+        p.add_argument(
+            "--plain", action="store_true", help="human-readable output instead of JSON"
+        )
         p.add_argument("graph")
         if name in ("interval", "hull"):
             p.add_argument("vertices", nargs="+", type=int)
@@ -234,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.set_defaults(func=_cmd_analysis)
 
-    p = sub.add_parser("generate", help="emit a graph from a named family", parents=[common])
+    p = sub.add_parser("generate", help="emit a graph from a named family", parents=[formats])
     p.add_argument(
         "family",
         choices=tuple(_FAMILIES),
@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser(
-        "bench", help="time interval/hull/wtn/wth over a corpus directory", parents=[common]
+        "bench", help="time interval/hull/wtn/wth over a corpus directory", parents=[formats]
     )
     p.add_argument("corpus")
     p.add_argument("--output", "-o")

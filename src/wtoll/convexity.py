@@ -83,28 +83,32 @@ def wtc_exact(g: Graph, cap: int = DEFAULT_WTC_CAP) -> InvariantResult:
             f"search refused for n={g.n} > cap {cap}"
         )
     for size in range(g.n - 1, 0, -1):
-        found = _first_convex(g, 0, 0, 0, size)
+        found = _first_convex(g, size)
         if found is not None:
             return _checked(g, InvariantResult(size, frozenset(bits(found)), "EXHAUSTIVE"))
     raise InternalConsistencyError("no proper convex subset found; singletons are convex")
 
 
-def _first_convex(g: Graph, chosen: int, union: int, start: int, left: int) -> int | None:
-    """Mask of the lexicographically first convex set that adds ``left``
-    members from ``start`` upwards to ``chosen``, else None.
+def _first_convex(g: Graph, size: int) -> int | None:
+    """Mask of the lexicographically first convex set of ``size``
+    vertices, else None.
 
-    ``union`` is the union of the walk masks of the nonadjacent pairs of
-    ``chosen``, whose members all lie below ``start``. A new member v ORs
-    in only its pairs with the members already chosen. The candidates
-    for v stop at the least vertex of ``union - chosen``: past it, rule
-    (a) of :func:`wtc_exact` cuts every v.
+    One loop over an explicit stack of frames (chosen, union, v, stop,
+    left): ``chosen`` is the prefix, ``union`` the union of the walk
+    masks of its nonadjacent pairs, v the next candidate for the next
+    member, ``stop`` the last one, and ``left`` the number of members
+    still to choose. A new member v ORs in only its pairs with the
+    members already chosen. A pushed frame's candidates stop at the
+    least vertex of ``union - chosen``: past it, rule (a) of
+    :func:`wtc_exact` cuts every v.
     """
     masks = g._masks
-    stop = g.n - left
-    pending = union & ~chosen
-    if pending:
-        stop = min(stop, (pending & -pending).bit_length() - 1)
-    for v in range(start, stop + 1):
+    n = g.n
+    frames = [(0, 0, 0, n - size, size)]
+    while frames:
+        chosen, union, v, stop, left = frames.pop()
+        if v < stop:
+            frames.append((chosen, union, v + 1, stop, left))
         walks = union
         for u in bits(chosen & ~masks[v]):
             walks |= _pair_walk_mask(g, u, v)
@@ -116,9 +120,10 @@ def _first_convex(g: Graph, chosen: int, union: int, start: int, left: int) -> i
             continue
         if missing & ((1 << v) - 1) or missing.bit_count() > left - 1:
             continue  # rules (a) and (b)
-        found = _first_convex(g, taken, walks, v + 1, left - 1)
-        if found is not None:
-            return found
+        stop = n - left + 1
+        if missing:
+            stop = min(stop, (missing & -missing).bit_length() - 1)
+        frames.append((taken, walks, v + 1, stop, left - 1))
     return None
 
 

@@ -272,21 +272,18 @@ _G6_HEADER = ">>graph6<<"
 
 
 def _g6_decode_size(data: bytes) -> tuple[int, bytes]:
+    """The vertex count and the body: one byte below 126, else ``~`` and
+    three bytes, or ``~~`` and six."""
     if data[0] != 126:
         return data[0] - 63, data[1:]
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise GraphParseError("truncated graph6 size field")
-        n = 0
-        for c in data[2:8]:
-            n = (n << 6) | (c - 63)
-        return n, data[8:]
-    if len(data) < 4:
+    start = 2 if data[1:2] == b"~" else 1
+    end = 4 * start
+    if len(data) < end:
         raise GraphParseError("truncated graph6 size field")
     n = 0
-    for c in data[1:4]:
+    for c in data[start:end]:
         n = (n << 6) | (c - 63)
-    return n, data[4:]
+    return n, data[end:]
 
 
 def _g6_encode_size(n: int) -> bytes:
@@ -406,54 +403,59 @@ def is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
 
 
+def _colour_classes(masks: Sequence[int], cand: list[int]) -> tuple[list[int], list[int]]:
+    """First-fit colouring of ``cand``: its vertices grouped by class, and
+    each one's class number (from 1). Class k takes, in ``cand`` order,
+    each remaining vertex with no neighbour among its members so far."""
+    ordered: list[int] = []
+    bound: list[int] = []
+    rest = cand
+    k = 0
+    while rest:
+        k += 1
+        members = 0
+        left: list[int] = []
+        for v in rest:
+            if masks[v] & members:
+                left.append(v)
+            else:
+                members |= 1 << v
+                ordered.append(v)
+        bound += [k] * (len(ordered) - len(bound))
+        rest = left
+    return ordered, bound
+
+
 def max_clique(g: Graph) -> frozenset[int]:
     """Exact maximum clique via branch and bound with a greedy coloring bound.
 
     Deterministic: the root candidate order is descending degree with
     identifier tie-break, and coloring is greedy in candidate order.
     Exponential in the worst case; intended for moderate instances.
+
+    One loop over an explicit stack, not bounded by the recursion limit:
+    each frame holds a depth's candidates still to branch on, in colour
+    order, with their class numbers, and ``r`` holds the vertex branched
+    on in each frame below the top one (``len(r) == len(frames) - 1``).
     """
-    n = g.n
-    if n == 0:
-        return frozenset()
     masks = g._masks
     best: tuple[int, ...] = ()
-
-    def color_sort(cand: list[int]) -> tuple[list[int], list[int]]:
-        # ordered: vertices grouped by greedy color class; bound[i] = class no.
-        class_masks: list[int] = []
-        class_members: list[list[int]] = []
-        for v in cand:
-            for k, cm in enumerate(class_masks):
-                if not cm & masks[v]:
-                    class_masks[k] |= 1 << v
-                    class_members[k].append(v)
-                    break
-            else:
-                class_masks.append(1 << v)
-                class_members.append([v])
-        ordered: list[int] = []
-        bound: list[int] = []
-        for k, members in enumerate(class_members):
-            ordered.extend(members)
-            bound.extend([k + 1] * len(members))
-        return ordered, bound
-
-    def expand(r: list[int], cand: list[int]) -> None:
-        nonlocal best
-        ordered, bound = color_sort(cand)
-        for i in range(len(ordered) - 1, -1, -1):
-            if len(r) + bound[i] <= len(best):
-                return
-            v = ordered[i]
+    r: list[int] = []
+    root = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    frames = [_colour_classes(masks, root)]
+    while frames:
+        ordered, bound = frames[-1]
+        if not ordered or len(r) + bound[-1] <= len(best):
+            frames.pop()
+            if r:
+                r.pop()
+            continue
+        v = ordered.pop()
+        bound.pop()
+        sub = [u for u in ordered if masks[v] >> u & 1]
+        if sub:
             r.append(v)
-            sub = [u for u in ordered[:i] if masks[v] >> u & 1]
-            if sub:
-                expand(r, sub)
-            elif len(r) > len(best):
-                best = tuple(r)
-            r.pop()
-
-    root = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    expand([], root)
+            frames.append(_colour_classes(masks, sub))
+        elif len(r) + 1 > len(best):
+            best = (*r, v)
     return frozenset(best)

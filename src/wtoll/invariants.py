@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .atoms import decompose, extremal_atoms
+from .atoms import decompose
 from .errors import InternalConsistencyError
 from .graph import (
     Graph, _nonadjacent_pairs, _require_connected, bits, is_clique, is_complete, mask_of
@@ -125,7 +125,7 @@ def wth(g: Graph) -> InvariantResult:
             raise InternalConsistencyError("no nonadjacent pair in a non-complete graph")
         return _verified(g, InvariantResult(2, frozenset(pair), "PRIME_PAIR"))
 
-    extremal = extremal_atoms(dec)
+    extremal = [i for i, flag in enumerate(dec.extremal) if flag]
     if len(extremal) < 2:
         raise InternalConsistencyError(
             "reducible graph produced fewer than two extremal atoms"

@@ -16,7 +16,6 @@ class TwinPartition(NamedTuple):
     neighborhoods), ordered by least member."""
 
     classes: tuple[frozenset[int], ...]
-    class_of: tuple[int, ...]
 
 
 def twin_classes(g: Graph) -> TwinPartition:
@@ -30,12 +29,7 @@ def twin_classes(g: Graph) -> TwinPartition:
         groups.setdefault(mask | (1 << v), []).append(v)
     # a class enters the dict at its least member, so insertion order is
     # already the order by least member
-    classes = tuple(map(frozenset, groups.values()))
-    class_of = [0] * g.n
-    for idx, cls in enumerate(classes):
-        for v in cls:
-            class_of[v] = idx
-    return TwinPartition(classes, tuple(class_of))
+    return TwinPartition(tuple(map(frozenset, groups.values())))
 
 
 def extreme_twin_classes(g: Graph, p: TwinPartition) -> list[int]:

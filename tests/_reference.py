@@ -37,6 +37,10 @@
   then every size-s subset from ``combinations`` with one convexity test
   each, for s = n - 1 down to 1; the library's pruned depth-first search
   must return the same value, witness and case tag.
+- wtc's two searches as recursive functions: the maximum clique branch
+  and bound with nested first-fit colouring, and the pruned depth-first
+  search for the first convex set of a size. The library runs each as
+  one loop over an explicit stack and must return the same witness.
 """
 
 import hashlib
@@ -52,7 +56,6 @@ from wtoll.graph import (
     component_mask,
     is_complete,
     mask_of,
-    max_clique,
 )
 from wtoll.intervals import (
     MembershipWitness,
@@ -327,13 +330,14 @@ def reference_wtn_twin_filter(g):
     base_mask = mask_of(base)
     lo, hi = {0: (2, 8), 1: (1, 5), 2: (0, 2)}[k]
     extra_pool = sorted(everything - base)
+    class_of = {v: i for i, cls in enumerate(part.classes) for v in cls}
     best = None  # (value, witness mask)
     for size in range(lo, hi + 1):
         floor = len(base) + size
         if best is not None and floor >= best[0]:
             break
         for extra in combinations(extra_pool, size):
-            if len({part.class_of[v] for v in extra}) < size:
+            if len({class_of[v] for v in extra}) < size:
                 continue  # two twins among the extras
             rmask = base_mask | mask_of(extra)
             smask = rmask | (g._full & ~_interval_mask(g, rmask))
@@ -472,10 +476,92 @@ def reference_wtc_exhaustive(g):
     if is_complete(g):
         return InvariantResult(n - 1, frozenset(range(n - 1)), "COMPLETE")
     if is_prime(g):
-        clique = max_clique(g)
+        clique = reference_max_clique(g)
         return InvariantResult(len(clique), clique, "PRIME_MAX_CLIQUE")
     for size in range(n - 1, 0, -1):
         for s in combinations(range(n), size):
             if is_convex(g, s):
                 return InvariantResult(size, frozenset(s), "EXHAUSTIVE")
     raise InternalConsistencyError("no proper convex subset found; singletons are convex")
+
+
+def reference_max_clique(g):
+    """Maximum clique by the recursive branch and bound: the root order is
+    descending degree, then id; each node colours its candidates first
+    fit, in candidate order, and branches on them from the last colour
+    class down, cutting once the colour bound cannot beat the best."""
+    n = g.n
+    if n == 0:
+        return frozenset()
+    masks = g._masks
+    best = ()
+
+    def color_sort(cand):
+        # ordered: vertices grouped by greedy color class; bound[i] = class no.
+        class_masks = []
+        class_members = []
+        for v in cand:
+            for k, cm in enumerate(class_masks):
+                if not cm & masks[v]:
+                    class_masks[k] |= 1 << v
+                    class_members[k].append(v)
+                    break
+            else:
+                class_masks.append(1 << v)
+                class_members.append([v])
+        ordered = []
+        bound = []
+        for k, members in enumerate(class_members):
+            ordered.extend(members)
+            bound.extend([k + 1] * len(members))
+        return ordered, bound
+
+    def expand(r, cand):
+        nonlocal best
+        ordered, bound = color_sort(cand)
+        for i in range(len(ordered) - 1, -1, -1):
+            if len(r) + bound[i] <= len(best):
+                return
+            v = ordered[i]
+            r.append(v)
+            sub = [u for u in ordered[:i] if masks[v] >> u & 1]
+            if sub:
+                expand(r, sub)
+            elif len(r) > len(best):
+                best = tuple(r)
+            r.pop()
+
+    root = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    expand([], root)
+    return frozenset(best)
+
+
+def reference_first_convex(g, chosen, union, start, left):
+    """Mask of the lexicographically first convex set that adds ``left``
+    members from ``start`` upwards to ``chosen``, else None, by recursion.
+
+    ``union`` is the union of the walk masks of the nonadjacent pairs of
+    ``chosen``, whose members all lie below ``start``; the whole search
+    for size s starts at ``(g, 0, 0, 0, s)``.
+    """
+    masks = g._masks
+    stop = g.n - left
+    pending = union & ~chosen
+    if pending:
+        stop = min(stop, (pending & -pending).bit_length() - 1)
+    for v in range(start, stop + 1):
+        walks = union
+        for u in bits(chosen & ~masks[v]):
+            walks |= _pair_walk_mask(g, u, v)
+        taken = chosen | (1 << v)
+        missing = walks & ~taken
+        if left == 1:
+            if not missing:  # I(S) = S
+                return taken
+            continue
+        if missing & ((1 << v) - 1) or missing.bit_count() > left - 1:
+            continue  # rules (a) and (b)
+        found = reference_first_convex(g, taken, walks, v + 1, left - 1)
+        if found is not None:
+            return found
+    return None

@@ -78,7 +78,7 @@ class TestDecompose:
                 assert w.is_clique(g, d.atoms[i] & d.atoms[j])
                 assert not (d.exclusive[i] & d.exclusive[j])
         if len(d.atoms) >= 2:
-            assert len(w.extremal_atoms(d)) >= 2
+            assert sum(d.extremal) >= 2
         assert w.is_prime(g) == (len(d.atoms) == 1)
 
 
@@ -159,30 +159,29 @@ def test_decompose_scales_to_long_chains(g):
     assert elapsed < 3.0
 
 
+def _extremal(d):
+    return [i for i, flag in enumerate(d.extremal) if flag]
+
+
 class TestExtremalAtoms:
     def test_p4_end_atoms(self):
         d = w.decompose(w.path_graph(4))
-        assert w.extremal_atoms(d) == [0, 2]
+        assert _extremal(d) == [0, 2]
 
     def test_bowtie_both(self):
         d = w.decompose(w.bowtie_graph())
-        assert w.extremal_atoms(d) == [0, 1]
+        assert _extremal(d) == [0, 1]
 
     def test_triangle_chain_ends(self):
         d = w.decompose(clique_chain(4, 3))
-        idxs = w.extremal_atoms(d)
+        idxs = _extremal(d)
         assert [sorted(d.atoms[i]) for i in idxs] == [[0, 1, 2], [6, 7, 8]]
 
     def test_partner_dominates_intersections(self):
         d = w.decompose(clique_chain(3, 3))
-        for i in w.extremal_atoms(d):
+        for i in _extremal(d):
             j = d.partner[i]
             assert d.shared[i] == d.atoms[i] & d.atoms[j]
-
-    def test_requires_two_atoms(self):
-        d = w.decompose(w.cycle_graph(5))
-        with pytest.raises(ValueError):
-            w.extremal_atoms(d)
 
 
 class TestBruteForceAtoms:

@@ -1,12 +1,18 @@
+import os
+import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
 import wtoll as w
-from _reference import reference_wtc_exhaustive
+from _reference import reference_first_convex, reference_max_clique, reference_wtc_exhaustive
 from _strategies import caterpillar, clique_chain, random_connected_gnp
 from wtoll import CapExceededError
-from wtoll.convexity import DEFAULT_WTC_CAP, reduction_edge_list
+from wtoll.convexity import DEFAULT_WTC_CAP, _first_convex, reduction_edge_list
 
 
 def _reducible_gnp(n, p, count, seed=0):
@@ -123,6 +129,52 @@ class TestPrunedSearch:
         for g in graphs:
             w.wtc_exact(g)
         assert time.perf_counter() - t0 < 2.0
+
+
+class TestStackSearches:
+    """``max_clique`` and ``_first_convex`` run as loops over an explicit
+    stack: they find what the recursive searches find, at any depth."""
+
+    def test_deep_searches_under_recursion_limit_100(self):
+        # K_240 minus a perfect matching is prime with omega = 120, and
+        # the first convex set of P_120 has 119 members: a recursive search
+        # goes 120 calls deep in both
+        script = textwrap.dedent("""
+            import sys
+            import wtoll as w
+            sys.setrecursionlimit(100)
+            n = 240
+            g = w.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u + n // 2])
+            assert len(w.max_clique(g)) == 120
+            assert w.wtc_exact(w.path_graph(120), cap=120).value == 119
+        """)
+        src = str(Path(w.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, encoding="utf-8", env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_max_clique_matches_recursive_reference(self, corpus):
+        rng = random.Random(12)
+        graphs = corpus + [
+            w.gnp_graph(rng.randint(2, 40), rng.uniform(0.2, 0.9), seed=seed)
+            for seed in range(400)
+        ]
+        for g in graphs:
+            assert w.max_clique(g) == reference_max_clique(g)
+
+    def test_first_convex_matches_recursive_reference(self, corpus):
+        graphs = [g for g in corpus if g.n >= 2 and not w.is_prime(g)]
+        for n in range(8, 17):  # 9 x 23 = 207 reducible G(n, p), p from 0.2 to 0.3
+            graphs += _reducible_gnp(n, 0.2 + 0.0125 * (n - 8), 23, seed=5000 * n)
+        for g in graphs:
+            for size in range(1, g.n):
+                # fresh copies, so neither side reads the other's pair memo
+                expected = reference_first_convex(w.Graph(g.n, g.edges()), 0, 0, 0, size)
+                assert _first_convex(w.Graph(g.n, g.edges()), size) == expected
 
 
 class TestCliqueReduction:

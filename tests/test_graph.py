@@ -216,7 +216,8 @@ class TestGraph6:
         same_graph6_error("D?{{")
 
     @pytest.mark.parametrize(
-        "text", ["B@", "C~", "~?", "~~??", ">>graph6<<", "  ", "@", "A_", "?"]
+        "text",
+        ["B@", "C~", "~", "~~", "~?", "~??", "~~??", "~~?????", ">>graph6<<", "  ", "@", "A_", "?"],
     )
     def test_edge_cases_match_reference(self, text):
         assert_parses_like_reference(w.parse_graph6, reference_parse_graph6, text)

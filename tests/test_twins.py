@@ -37,17 +37,19 @@ class TestTwinClasses:
     def test_partition_characterization(self, g):
         part = w.twin_classes(g)
         seen = set()
+        class_of = {}
         for idx, cls in enumerate(part.classes):
             assert cls
             assert not (seen & cls)
             seen |= cls
-            for v in cls:
-                assert part.class_of[v] == idx
+            class_of.update(dict.fromkeys(cls, idx))
         assert seen == set(range(g.n))
+        least = [min(cls) for cls in part.classes]
+        assert least == sorted(least)
         closed = [g.neighbors(v) | {v} for v in range(g.n)]
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                same = part.class_of[u] == part.class_of[v]
+                same = class_of[u] == class_of[v]
                 assert same == (closed[u] == closed[v])
                 if same:
                     assert g.has_edge(u, v)
