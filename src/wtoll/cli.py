@@ -11,7 +11,7 @@ and overridable with ``--format``; the path ``-`` reads standard input.
 A graph6 input holds exactly one graph (blank lines aside).
 
 Exit codes: 0 success, 2 parse/argument error, 3 disconnected input where
-connectivity is required, 4 wtc cap exceeded.
+connectivity is required, 4 wtc cap or wtn search budget exceeded.
 """
 
 from __future__ import annotations

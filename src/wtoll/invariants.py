@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .atoms import decompose
-from .errors import InternalConsistencyError
+from .errors import CapExceededError, InternalConsistencyError
 from .graph import (
     Graph, _nonadjacent_pairs, _require_connected, bits, is_clique, is_complete, mask_of
 )
@@ -35,6 +35,13 @@ class InvariantResult(NamedTuple):
 
 
 _DISCONNECTED = "invariant is defined for connected graphs only"
+
+# Candidates wtn's general window search may try before it refuses (exit 4
+# in the CLI). That covers the whole size-2 and size-3 window of a k = 0
+# graph whose pool has 100 vertices: 166,650 candidates, about 1 s on a
+# 2-vCPU VM with Python 3.11. The largest search in the tests, the demos
+# and the benchmark pools tries 36.
+_WTN_CANDIDATE_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +71,23 @@ def wtn(g: Graph) -> InvariantResult:
     whose completion has the same size. The tests check the value against
     the literal search over all bounded extras, and the whole result
     against the search over every twin-free set of extras.
+
+    For k = 0 a covering pair is first sought among the pairs whose
+    endpoints have no dominated neighbor. Lemma: if u has a neighbor z
+    with N[z] contained in N[u], no pair {u, w} covers V. Proof: z is a
+    neighbor of u, so a weakly toll (u, w)-walk can hold z only as u_1.
+    Then u_2 lies in N(z), inside N[u], and can only be u (any other
+    neighbor of u would also have to be u_1); likewise u_3 = z, and so
+    on, so the walk alternates between u and z and never reaches w, which
+    lies outside N[u]. So z is not in I({u, w}). The same holds from w's
+    end. The witness cannot change: the size-2 scan returns the first
+    pair in lexicographic order whose completion reaches the floor of 2,
+    that is the first pair with I({u, w}) = V, and the skipped pairs are
+    exactly pairs that cannot reach it. When no pair passes, the general
+    search below runs unchanged, reusing the memoized walk masks.
+
+    The general search tries at most ``_WTN_CANDIDATE_BUDGET`` candidates
+    and raises :class:`CapExceededError` past it instead of running on.
     """
     _require_connected(g, _DISCONNECTED)
     n = g.n
@@ -76,15 +100,26 @@ def wtn(g: Graph) -> InvariantResult:
     base_mask = mask_of(v for i in extreme_cls for v in part.classes[i])
     # classes are ordered by least member, so the pool is ascending
     pool = [min(cls) for i, cls in enumerate(part.classes) if i not in extreme_cls]
+    if k == 0:
+        pair = _covering_pair(g, mask_of(pool))
+        if pair is not None:
+            return InvariantResult(2, frozenset(pair), "WTN_K0")
     lo, hi = {0: (2, 8), 1: (1, 5), 2: (0, 2)}[k]
     tag = f"WTN_K{k}"
 
     best: tuple[int, int] | None = None  # (value, witness mask)
+    tried = 0
     for size in range(lo, hi + 1):
         floor = base_mask.bit_count() + size
         if best is not None and floor >= best[0]:
             break
         for extra in combinations(pool, size):
+            tried += 1
+            if tried > _WTN_CANDIDATE_BUDGET:
+                raise CapExceededError(
+                    f"wtn refused: the k={k} search window needs more than "
+                    f"{_WTN_CANDIDATE_BUDGET} candidates (budget reached at size {size})"
+                )
             rmask = base_mask | mask_of(extra)
             smask = rmask | (g._full & ~_interval_mask(g, rmask))
             value = smask.bit_count()
@@ -97,6 +132,35 @@ def wtn(g: Graph) -> InvariantResult:
             f"no weakly toll interval set found in the k={k} search window"
         )
     return InvariantResult(best[0], frozenset(bits(best[1])), tag)
+
+
+def _covering_pair(g: Graph, pool_mask: int) -> tuple[int, int] | None:
+    """The first nonadjacent pair (u, w) of ``pool_mask`` in lexicographic
+    order with I({u, w}) = V, among the pairs whose endpoints have no
+    dominated neighbor (see :func:`wtn`); None if there is none.
+
+    Each vertex is tested once, when the scan first reaches it, and a
+    pair's walk mask is computed only when both endpoints pass.
+    """
+    masks, full = g._masks, g._full
+    passes: dict[int, bool] = {}
+    for u in bits(pool_mask):
+        if u not in passes:
+            passes[u] = _no_dominated_neighbor(masks, u)
+        if not passes[u]:
+            continue
+        for w in bits(pool_mask & ~masks[u] & ~((2 << u) - 1)):  # non-neighbors above u
+            if w not in passes:
+                passes[w] = _no_dominated_neighbor(masks, w)
+            if passes[w] and _interval_mask(g, (1 << u) | (1 << w)) == full:
+                return u, w
+    return None
+
+
+def _no_dominated_neighbor(masks: tuple[int, ...], v: int) -> bool:
+    """True iff no neighbor z of v has N[z] inside N[v]."""
+    closed = masks[v] | (1 << v)
+    return all(masks[z] & ~closed for z in bits(masks[v]))
 
 
 # ---------------------------------------------------------------------------

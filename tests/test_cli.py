@@ -299,6 +299,16 @@ class TestExitCodes:
         code, out, _ = run(["wtc", str(path), "--cap", "20"])
         assert code == 0 and json.loads(out)["result"]["value"] == 19
 
+    def test_wtn_budget_is_4(self, tmp_path, monkeypatch):
+        import wtoll.invariants
+
+        # k = 0 and wtn = 3, so the general search tries the 6 pool pairs
+        path = tmp_path / "fallback.el"
+        path.write_text("6 7\n0 1\n0 2\n0 3\n0 4\n0 5\n2 3\n4 5\n")
+        monkeypatch.setattr(wtoll.invariants, "_WTN_CANDIDATE_BUDGET", 5)
+        code, out, err = run(["wtn", str(path)])
+        assert (code, out) == (4, "") and "more than 5 candidates" in err
+
 
 class TestModuleEntry:
     """``python -m wtoll`` runs the command line in a fresh interpreter."""

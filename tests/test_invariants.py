@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from _reference import (
     reference_wtn_twin_filter,
     reference_wtn_unpruned,
 )
-from _strategies import caterpillar, clique_chain, random_connected_gnp
+from _strategies import caterpillar, clique_chain, giant_component, random_connected_gnp
 
 
 class TestWtn:
@@ -60,38 +61,128 @@ class TestWtn:
         assert w.wtn(g) == w.wtn(g)
 
 
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return w.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def _twin_pool_graphs():
     rng = random.Random(2005)
     for _ in range(200):
         yield random_connected_gnp(
             rng.randint(2, 12), rng.choice((0.2, 0.35, 0.5, 0.7)), seed=rng.randrange(10**6)
         )
+    rng = random.Random(1313)
+    for _ in range(400):
+        yield random_connected_gnp(
+            rng.randint(8, 16), rng.choice((0.2, 0.3, 0.5, 0.7, 0.9)), seed=rng.randrange(10**6)
+        )
+    for n in range(20, 81, 5):
+        yield giant_component(w.gnp_graph(n, 3 / n, seed=n))
     # clique chains have twin classes of two or more members; caterpillars
-    # have only singleton classes and search the widest (k = 0) window
-    for count in (2, 3, 5):
+    # have only singleton classes and search the widest (k = 0) window,
+    # where on natural labels every spine vertex comes first and fails the
+    # covering pair's endpoint test
+    for count in (2, 3, 5, 12):
         for size in (3, 4, 5):
             yield clique_chain(count, size)
-    for spine in (3, 5, 8):
+    for spine in (3, 5, 8, 20, 40):
         for legs in (1, 2):
             yield caterpillar(spine, legs)
+            yield _relabelled(caterpillar(spine, legs), seed=100 * spine + legs)
+
+
+def _is_fallback(res):
+    # k = 0 with no covering pair: the general search decided the value
+    return res.case_tag == "WTN_K0" and res.value >= 3
 
 
 class TestWtnTwinPool:
-    """The search over one representative per twin class against the
-    search over all extras, skipping those holding two twins."""
+    """The search over one representative per twin class, with the
+    covering-pair scan for k = 0, against the search over all extras,
+    skipping those holding two twins."""
 
     @staticmethod
     def _assert_matches_reference(g):
         # the reference runs on a copy, so it shares no pair memo with wtn
-        assert w.wtn(g) == reference_wtn_twin_filter(w.Graph(g.n, g.edges()))
+        res = w.wtn(g)
+        assert res == reference_wtn_twin_filter(w.Graph(g.n, g.edges()))
+        return res
 
     def test_matches_reference_corpus(self, corpus):
-        for g in corpus:
-            self._assert_matches_reference(g)
+        fallbacks = sum(_is_fallback(self._assert_matches_reference(g)) for g in corpus)
+        # the graphs where the covering-pair scan finds nothing are checked too
+        assert fallbacks >= 20
 
     def test_matches_reference_random_and_chains(self):
         for g in _twin_pool_graphs():
             self._assert_matches_reference(g)
+
+
+def _dominated_neighbors(g, u):
+    closed = g.neighbors(u) | {u}
+    return [z for z in g.neighbors(u) if g.neighbors(z) | {z} <= closed]
+
+
+class TestCoveringPair:
+    """The k = 0 scan skips every pair with an endpoint u that has a
+    neighbor z with N[z] inside N[u]."""
+
+    def test_lemma_against_walk_oracle(self, corpus):
+        checked = 0
+        for g in corpus:
+            for u in range(g.n):
+                dominated = _dominated_neighbors(g, u)
+                if not dominated:
+                    continue
+                for v in set(range(g.n)) - g.neighbors(u) - {u}:
+                    inside = w.oracle_interval(g, {u, v})
+                    assert not inside & set(dominated), (g.edges(), u, v)
+                    checked += 1
+        assert checked > 1000
+
+    def test_caterpillar_computes_one_pair_mask(self):
+        # every spine vertex has a pendant leaf, so the scan reaches the
+        # first two leaves before it computes a walk mask
+        g = caterpillar(60, 2)
+        assert w.wtn(g) == (2, {60, 61}, "WTN_K0")
+        assert len(g._pair_cache) == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: caterpillar(500, 2), id="caterpillar-500"),
+            pytest.param(
+                lambda: giant_component(w.gnp_graph(1000, 4 / 1000, seed=1000)),
+                id="gnp-giant-1000",
+            ),
+        ],
+    )
+    def test_large_sparse_graphs_finish_fast(self, make):
+        g = make()
+        start = time.perf_counter()
+        res = w.wtn(g)
+        assert time.perf_counter() - start < 1.0
+        assert (res.value, res.case_tag) == (2, "WTN_K0")
+        assert w.interval(g, res.witness) == frozenset(range(g.n))
+
+
+# k = 0 and wtn = 3: the general search runs past the size-2 window
+_FALLBACK_GRAPH = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 3), (4, 5)]
+
+
+class TestWtnBudget:
+    def test_refuses_past_the_budget(self, monkeypatch):
+        import wtoll.invariants
+
+        # the search tries the 6 pairs of the pool {0, 1, 2, 4}; (1, 2)
+        # completes to {1, 2, 3}, and no triple can beat that
+        monkeypatch.setattr(wtoll.invariants, "_WTN_CANDIDATE_BUDGET", 5)
+        with pytest.raises(CapExceededError, match="more than 5 candidates"):
+            w.wtn(w.Graph(6, _FALLBACK_GRAPH))
+        monkeypatch.setattr(wtoll.invariants, "_WTN_CANDIDATE_BUDGET", 6)
+        assert w.wtn(w.Graph(6, _FALLBACK_GRAPH)) == (3, {1, 2, 3}, "WTN_K0")
 
 
 class TestWth:
