@@ -7,13 +7,14 @@ convexity, extreme vertices, true-twin classes, the clique separator
 decomposition into maximal prime subgraphs, the interval number wtn(G)
 and hull number wth(G) (polynomial), and the convexity number wtc(G)
 (exact on small or prime instances). A definition-level enumeration
-oracle validates every operator on small graphs.
+oracle, ``wtoll.oracle``, validates every operator on small graphs; it is
+a test aid, so ``import wtoll`` does not load it.
 
 Each module lists its public names once, in its own ``__all__``; the
 package re-exports exactly those.
 """
 
-from . import atoms, convexity, errors, generators, graph, intervals, invariants, oracle, twins
+from . import atoms, convexity, errors, generators, graph, intervals, invariants, twins
 from .atoms import *
 from .convexity import *
 from .errors import *
@@ -21,13 +22,12 @@ from .generators import *
 from .graph import *
 from .intervals import *
 from .invariants import *
-from .oracle import *
 from .twins import *
 
 __version__ = "0.1.0"
 
 __all__ = sorted(
     name
-    for module in (atoms, convexity, errors, generators, graph, intervals, invariants, oracle, twins)
+    for module in (atoms, convexity, errors, generators, graph, intervals, invariants, twins)
     for name in module.__all__
 )

@@ -7,8 +7,9 @@ Every analysis command prints one JSON run report:
 
 ``--plain`` switches to short human-readable lines. Graph files are
 edge lists (`.el`, default) or graph6 (`.g6`), auto-detected by extension
-and overridable with ``--format``; the path ``-`` reads standard input.
-A graph6 input holds exactly one graph (blank lines aside).
+and, except in ``bench``, overridable with ``--format``; the path ``-``
+reads standard input. A graph6 input holds exactly one graph (blank lines
+aside).
 
 Exit codes: 0 success, 2 parse/argument error, 3 disconnected input where
 connectivity is required, 4 wtc cap or wtn search budget exceeded.
@@ -185,8 +186,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     writer.writerow(["graph", "n", "m", "op", "value", "ms"])
     for path in sorted(p for p in Path(args.corpus).iterdir() if p.suffix in (".el", ".g6")):
         try:
-            g = _load_graph(str(path), args.format)
-        except (OSError, GraphParseError) as exc:
+            g = _load_graph(str(path), "auto")
+        except (OSError, UnicodeDecodeError, GraphParseError) as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
         pair = next(_nonadjacent_pairs(g._masks, g._full), tuple(range(min(g.n, 2))))
@@ -244,9 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser(
-        "bench", help="time interval/hull/wtn/wth over a corpus directory", parents=[formats]
-    )
+    p = sub.add_parser("bench", help="time interval/hull/wtn/wth over a corpus directory")
     p.add_argument("corpus")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_bench)

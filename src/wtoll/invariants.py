@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .atoms import decompose
 from .errors import CapExceededError, InternalConsistencyError
 from .graph import (
-    Graph, _nonadjacent_pairs, _require_connected, bits, is_clique, is_complete, mask_of
+    Graph, _is_clique_mask, _nonadjacent_pairs, _require_connected, bits, is_complete, mask_of
 )
 from .intervals import _interval_mask, hull, is_extreme_vertex
 from .twins import extreme_twin_classes, twin_classes
@@ -174,62 +174,11 @@ def wth(g: Graph) -> InvariantResult:
     works); at least three extremal atoms; an extremal atom whose
     exclusive set is not a clique; and finally exactly two extremal atoms
     with clique exclusive sets, where the answer depends on which of two
-    canonically chosen exclusive vertices are extreme. Every witness is
-    verified by computing its hull before returning.
+    canonically chosen exclusive vertices are extreme. Whichever branch
+    fires, its witness is checked once, here, by computing its hull.
     """
     _require_connected(g, _DISCONNECTED)
-    n = g.n
-    if is_complete(g):
-        return _verified(g, InvariantResult(n, frozenset(range(n)), "COMPLETE"))
-
-    dec = decompose(g)
-    if len(dec.atoms) == 1:
-        pair = next(_nonadjacent_pairs(g._masks, g._full), None)
-        if pair is None:
-            raise InternalConsistencyError("no nonadjacent pair in a non-complete graph")
-        return _verified(g, InvariantResult(2, frozenset(pair), "PRIME_PAIR"))
-
-    extremal = [i for i, flag in enumerate(dec.extremal) if flag]
-    if len(extremal) < 2:
-        raise InternalConsistencyError(
-            "reducible graph produced fewer than two extremal atoms"
-        )
-
-    if len(extremal) >= 3:
-        i, j = extremal[0], extremal[1]
-        witness = frozenset({min(dec.exclusive[i]), min(dec.exclusive[j])})
-        return _verified(g, InvariantResult(2, witness, "THREE_EXTREMAL"))
-
-    for i in extremal:
-        if not is_clique(g, dec.exclusive[i]):
-            pair = _nonclique_exclusive_pair(g, dec.exclusive[i], dec.shared[i])
-            return _verified(
-                g, InvariantResult(2, frozenset(pair), "EXCLUSIVE_NOT_CLIQUE")
-            )
-
-    i, j = extremal
-    u1 = _two_extremal_choice(g, dec.atoms[i], dec.exclusive[i], dec.shared[i])
-    u2 = _two_extremal_choice(g, dec.atoms[j], dec.exclusive[j], dec.shared[j])
-    x1, x2 = len(dec.exclusive[i]), len(dec.exclusive[j])
-    e1, e2 = is_extreme_vertex(g, u1), is_extreme_vertex(g, u2)
-    if e1 and e2:
-        result = InvariantResult(
-            x1 + x2, dec.exclusive[i] | dec.exclusive[j], "TWO_EXTREMAL_BOTH_EXTREME"
-        )
-    elif e1:
-        result = InvariantResult(
-            x1 + 1, dec.exclusive[i] | {u2}, "TWO_EXTREMAL_ONE_EXTREME"
-        )
-    elif e2:
-        result = InvariantResult(
-            x2 + 1, dec.exclusive[j] | {u1}, "TWO_EXTREMAL_ONE_EXTREME"
-        )
-    else:
-        result = InvariantResult(2, frozenset({u1, u2}), "TWO_EXTREMAL_NONE_EXTREME")
-    return _verified(g, result)
-
-
-def _verified(g: Graph, result: InvariantResult) -> InvariantResult:
+    result = _wth_case(g)
     if hull(g, result.witness) != frozenset(range(g.n)):
         raise InternalConsistencyError(
             f"{result.case_tag} witness {sorted(result.witness)} is not a hull set"
@@ -237,30 +186,61 @@ def _verified(g: Graph, result: InvariantResult) -> InvariantResult:
     return result
 
 
-def _nonclique_exclusive_pair(
-    g: Graph, exclusive: frozenset[int], shared: frozenset[int]
-) -> tuple[int, int]:
-    # candidates per the separator structure: exclusive vertices with a
-    # neighbor in the atom's shared clique; a nonadjacent pair among them
-    # always exists when the exclusive set is not a clique
-    masks = g._masks
-    shared_mask = mask_of(shared)
-    anchored = mask_of(v for v in exclusive if masks[v] & shared_mask)
-    for pair in _nonadjacent_pairs(masks, anchored):
-        return pair
-    raise InternalConsistencyError(
-        "non-clique exclusive set yielded no anchored nonadjacent pair"
-    )
+def _wth_case(g: Graph) -> InvariantResult:
+    """The result of the first :func:`wth` branch that fires, unchecked."""
+    n, masks = g.n, g._masks
+    if is_complete(g):
+        return InvariantResult(n, frozenset(range(n)), "COMPLETE")
 
+    dec = decompose(g)
+    if len(dec.atoms) == 1:
+        pair = next(_nonadjacent_pairs(masks, g._full), None)
+        if pair is None:
+            raise InternalConsistencyError("no nonadjacent pair in a non-complete graph")
+        return InvariantResult(2, frozenset(pair), "PRIME_PAIR")
 
-def _two_extremal_choice(
-    g: Graph, atom: frozenset[int], exclusive: frozenset[int], shared: frozenset[int]
-) -> int:
-    if is_clique(g, atom):
-        return min(exclusive)
-    for v in sorted(exclusive):
-        if any(not g.has_edge(v, s) for s in shared):
-            return v
-    raise InternalConsistencyError(
-        "non-complete extremal atom has no exclusive vertex missing a shared neighbor"
-    )
+    extremal = [i for i, flag in enumerate(dec.extremal) if flag]
+    if len(extremal) < 2:
+        raise InternalConsistencyError(
+            "reducible graph produced fewer than two extremal atoms"
+        )
+    excl = [mask_of(dec.exclusive[i]) for i in extremal[:2]]
+    if len(extremal) >= 3:
+        return InvariantResult(2, frozenset(next(bits(e)) for e in excl), "THREE_EXTREMAL")
+
+    shared = [mask_of(dec.shared[i]) for i in extremal]
+    for e, s in zip(excl, shared):
+        if not _is_clique_mask(masks, e):
+            # exclusive vertices with a neighbor in the atom's shared clique;
+            # a nonadjacent pair among them always exists when the
+            # exclusive set is not a clique
+            anchored = mask_of(v for v in bits(e) if masks[v] & s)
+            pair = next(_nonadjacent_pairs(masks, anchored), None)
+            if pair is None:
+                raise InternalConsistencyError(
+                    "non-clique exclusive set yielded no anchored nonadjacent pair"
+                )
+            return InvariantResult(2, frozenset(pair), "EXCLUSIVE_NOT_CLIQUE")
+
+    # each atom's choice: the least exclusive vertex missing a shared
+    # neighbor, or else, in a clique atom, the least exclusive vertex
+    choice = []
+    for i, e, s in zip(extremal, excl, shared):
+        v = next((v for v in bits(e) if s & ~masks[v]), None)
+        if v is None:
+            if not _is_clique_mask(masks, mask_of(dec.atoms[i])):
+                raise InternalConsistencyError(
+                    "non-complete extremal atom has no exclusive vertex missing a shared neighbor"
+                )
+            v = next(bits(e))
+        choice.append(v)
+    u1, u2 = choice
+    e1, e2 = is_extreme_vertex(g, u1), is_extreme_vertex(g, u2)
+    if e1 and e2:
+        witness, tag = excl[0] | excl[1], "TWO_EXTREMAL_BOTH_EXTREME"
+    elif e1 or e2:
+        witness = excl[0] | 1 << u2 if e1 else excl[1] | 1 << u1
+        tag = "TWO_EXTREMAL_ONE_EXTREME"
+    else:
+        witness, tag = 1 << u1 | 1 << u2, "TWO_EXTREMAL_NONE_EXTREME"
+    return InvariantResult(witness.bit_count(), frozenset(bits(witness)), tag)

@@ -31,6 +31,9 @@
   tuples. The library's bulk parsers must return equal graphs and raise
   the same message at the same line, and its fingerprint must be the same
   string.
+- wth as the case analysis over the decomposition's vertex sets, with a
+  hull check at each of its exits; the library's version over masks,
+  with one check, must return the same value, witness and case tag.
 - wtn and wth by brute force: every subset in increasing size and
   lexicographic order, the first whose interval (hull) is V.
 - wtc by the exhaustive scan: the COMPLETE and PRIME_MAX_CLIQUE branches,
@@ -46,14 +49,16 @@
 import hashlib
 from itertools import combinations
 
-from wtoll.atoms import AtomDecomposition, is_prime
+from wtoll.atoms import AtomDecomposition, decompose, is_prime
 from wtoll.errors import CapExceededError, GraphParseError, InternalConsistencyError
 from wtoll.graph import (
     Graph,
     _check_subset,
+    _nonadjacent_pairs,
     _require_connected,
     bits,
     component_mask,
+    is_clique,
     is_complete,
     mask_of,
 )
@@ -62,8 +67,10 @@ from wtoll.intervals import (
     _hull_mask,
     _interval_mask,
     _pair_walk_mask,
+    hull,
     in_weakly_toll_walk,
     is_convex,
+    is_extreme_vertex,
 )
 from wtoll.invariants import _DISCONNECTED, InvariantResult
 from wtoll.oracle import DEFAULT_CAP, _check_cap, _pairs, oracle_interval, oracle_membership
@@ -352,6 +359,77 @@ def reference_wtn_twin_filter(g):
         )
     return InvariantResult(best[0], frozenset(bits(best[1])), f"WTN_K{k}")
 
+
+
+def reference_wth(g):
+    """wth as a case analysis over the decomposition's vertex sets, each
+    branch verifying its own witness: the set-based helpers pick the
+    anchored pair and the two-extremal choices with ``is_clique`` and
+    ``has_edge``. The library's single-exit version over masks must return
+    the same value, witness and case tag."""
+    _require_connected(g, _DISCONNECTED)
+    n = g.n
+    if is_complete(g):
+        return _reference_verified(g, InvariantResult(n, frozenset(range(n)), "COMPLETE"))
+    dec = decompose(g)
+    if len(dec.atoms) == 1:
+        pair = next(_nonadjacent_pairs(g._masks, g._full), None)
+        if pair is None:
+            raise InternalConsistencyError("no nonadjacent pair in a non-complete graph")
+        return _reference_verified(g, InvariantResult(2, frozenset(pair), "PRIME_PAIR"))
+    extremal = [i for i, flag in enumerate(dec.extremal) if flag]
+    if len(extremal) < 2:
+        raise InternalConsistencyError("reducible graph produced fewer than two extremal atoms")
+    if len(extremal) >= 3:
+        i, j = extremal[0], extremal[1]
+        witness = frozenset({min(dec.exclusive[i]), min(dec.exclusive[j])})
+        return _reference_verified(g, InvariantResult(2, witness, "THREE_EXTREMAL"))
+    for i in extremal:
+        if not is_clique(g, dec.exclusive[i]):
+            shared_mask = mask_of(dec.shared[i])
+            anchored = mask_of(v for v in dec.exclusive[i] if g._masks[v] & shared_mask)
+            for pair in _nonadjacent_pairs(g._masks, anchored):
+                return _reference_verified(
+                    g, InvariantResult(2, frozenset(pair), "EXCLUSIVE_NOT_CLIQUE")
+                )
+            raise InternalConsistencyError(
+                "non-clique exclusive set yielded no anchored nonadjacent pair"
+            )
+    i, j = extremal
+    u1 = _reference_two_extremal_choice(g, dec.atoms[i], dec.exclusive[i], dec.shared[i])
+    u2 = _reference_two_extremal_choice(g, dec.atoms[j], dec.exclusive[j], dec.shared[j])
+    x1, x2 = len(dec.exclusive[i]), len(dec.exclusive[j])
+    e1, e2 = is_extreme_vertex(g, u1), is_extreme_vertex(g, u2)
+    if e1 and e2:
+        result = InvariantResult(
+            x1 + x2, dec.exclusive[i] | dec.exclusive[j], "TWO_EXTREMAL_BOTH_EXTREME"
+        )
+    elif e1:
+        result = InvariantResult(x1 + 1, dec.exclusive[i] | {u2}, "TWO_EXTREMAL_ONE_EXTREME")
+    elif e2:
+        result = InvariantResult(x2 + 1, dec.exclusive[j] | {u1}, "TWO_EXTREMAL_ONE_EXTREME")
+    else:
+        result = InvariantResult(2, frozenset({u1, u2}), "TWO_EXTREMAL_NONE_EXTREME")
+    return _reference_verified(g, result)
+
+
+def _reference_verified(g, result):
+    if hull(g, result.witness) != frozenset(range(g.n)):
+        raise InternalConsistencyError(
+            f"{result.case_tag} witness {sorted(result.witness)} is not a hull set"
+        )
+    return result
+
+
+def _reference_two_extremal_choice(g, atom, exclusive, shared):
+    if is_clique(g, atom):
+        return min(exclusive)
+    for v in sorted(exclusive):
+        if any(not g.has_edge(v, s) for s in shared):
+            return v
+    raise InternalConsistencyError(
+        "non-complete extremal atom has no exclusive vertex missing a shared neighbor"
+    )
 
 def _brute_force(g, covers, cap, tag):
     _require_connected(g, _DISCONNECTED)

@@ -10,6 +10,7 @@ import pytest
 
 import wtoll as w
 from wtoll.cli import main
+from wtoll.oracle import oracle_membership
 
 
 def run(argv, stdin=None):
@@ -255,6 +256,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --plain" in err
 
+    @pytest.mark.parametrize("fmt", ["auto", "el", "g6"])
+    def test_bench_format_is_2(self, tmp_path, fmt):
+        # bench reads only .el and .g6 files, each by its extension
+        code, out, err = run(["bench", str(tmp_path), "--format", fmt])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --format" in err
+
     def test_non_ascii_graph6_is_2(self):
         code, out, err = run(["twins", "-", "--format", "g6"], stdin="A\u00e9\n")
         assert (code, out, err) == (2, "", "error: invalid graph6 character\n")
@@ -310,18 +318,23 @@ class TestExitCodes:
         assert (code, out) == (4, "") and "more than 5 candidates" in err
 
 
+def run_python(*args, stdin=None):
+    """Run a fresh interpreter that imports this wtoll."""
+    src = str(Path(w.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin, capture_output=True, encoding="utf-8", env=env, timeout=60,
+    )
+
+
 class TestModuleEntry:
     """``python -m wtoll`` runs the command line in a fresh interpreter."""
 
     @staticmethod
     def run_module(*argv, stdin=None):
-        src = str(Path(w.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "wtoll", *argv],
-            input=stdin, capture_output=True, encoding="utf-8", env=env, timeout=60,
-        )
+        return run_python("-m", "wtoll", *argv, stdin=stdin)
 
     def test_generate_exits_0(self):
         proc = self.run_module("generate", "path", "4")
@@ -436,11 +449,14 @@ class TestBench:
 
     def test_unreadable_skipped_with_warning(self, tmp_path):
         (tmp_path / "junk.el").write_text("not a graph\n")
+        (tmp_path / "latin1.g6").write_bytes(b"\xff\n")  # not UTF-8
         (tmp_path / "p4.el").write_text(w.to_edge_list(w.path_graph(4)))
         code, out, err = run(["bench", str(tmp_path)])
         assert code == 0
         assert "junk.el" in err
+        assert "warning: skipping latin1.g6: 'utf-8' codec can't decode byte 0xff" in err
         assert "p4.el" in out
+        assert len(out.splitlines()) == 5  # the header and p4.el's four rows
 
     def test_failing_op_warns_and_the_others_run(self, tmp_path):
         (tmp_path / "dis.el").write_text("4 1\n0 1\n")
@@ -509,14 +525,16 @@ class TestBench:
 PUBLIC_NAMES = [
     "AtomDecomposition", "CapExceededError", "DisconnectedGraphError", "Graph",
     "GraphParseError", "InternalConsistencyError", "InvariantResult", "MembershipWitness",
-    "ReductionOutput", "TwinPartition", "WalkWitness", "bowtie_graph", "brute_force_atoms",
+    "ReductionOutput", "TwinPartition", "bowtie_graph", "brute_force_atoms",
     "clique_reduction", "complete_graph", "cycle_graph", "decompose", "extreme_twin_classes",
     "extreme_vertices", "gnp_graph", "hull", "in_weakly_toll_walk", "interval", "is_clique",
     "is_complete", "is_connected", "is_convex", "is_extreme_vertex", "is_prime", "max_clique",
-    "oracle_interval", "oracle_membership", "parse_edge_list", "parse_graph6", "path_graph",
-    "reduction_edge_list", "star_graph", "to_edge_list", "to_graph6", "twin_classes",
-    "wtc_exact", "wth", "wtn",
+    "parse_edge_list", "parse_graph6", "path_graph", "reduction_edge_list", "star_graph",
+    "to_edge_list", "to_graph6", "twin_classes", "wtc_exact", "wth", "wtn",
 ]
+# the walk-enumeration oracle's names: a test aid the package does not
+# import, reached as wtoll.oracle.*
+ORACLE_NAMES = ["WalkWitness", "oracle_interval", "oracle_membership"]
 # test aids that live in tests/_reference.py and tests/_strategies.py, or
 # are gone (blocked_set, extremal_atoms), and must not come back into the
 # package
@@ -525,8 +543,7 @@ REMOVED_NAMES = [
     "extremal_atoms", "oracle_extreme", "oracle_hull", "random_connected_gnp",
 ]
 MODULES = [
-    "atoms", "convexity", "errors", "generators", "graph", "intervals", "invariants",
-    "oracle", "twins",
+    "atoms", "convexity", "errors", "generators", "graph", "intervals", "invariants", "twins",
 ]
 
 
@@ -557,7 +574,7 @@ class TestResultRecords:
             "ReductionOutput(g_prime=Graph(n=4, m=4), k_prime=3, added={3: (0, 2)})",
         ),
         (
-            lambda: w.oracle_membership(w.path_graph(4), 0, 3, 1),
+            lambda: oracle_membership(w.path_graph(4), 0, 3, 1),
             "WalkWitness(sequence=(0, 1, 2, 3))",
         ),
     ]
@@ -582,8 +599,23 @@ class TestPublicNames:
             assert name in module.__all__ and getattr(module, name) is value
 
     def test_dir_holds_the_names_and_the_modules(self):
-        public = {name for name in dir(w) if not name.startswith("_")} - {"cli"}
+        # cli and oracle are submodules the package does not import itself;
+        # each is an attribute once something has imported it
+        public = {name for name in dir(w) if not name.startswith("_")} - {"cli", "oracle"}
         assert public == set(PUBLIC_NAMES) | set(MODULES)
+
+    def test_import_leaves_the_oracle_unloaded(self):
+        proc = run_python(
+            "-c", "import sys, wtoll, wtoll.cli; print('wtoll.oracle' in sys.modules)"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_oracle_name_lives_in_its_module_only(self, name):
+        import wtoll.oracle
+
+        assert not hasattr(w, name)
+        assert name in wtoll.oracle.__all__ and hasattr(wtoll.oracle, name)
 
     @pytest.mark.parametrize("name", REMOVED_NAMES)
     def test_removed_name_is_gone(self, name):

@@ -11,7 +11,7 @@ import pytest
 import wtoll as w
 from _reference import reference_first_convex, reference_max_clique, reference_wtc_exhaustive
 from _strategies import caterpillar, clique_chain, random_connected_gnp
-from wtoll import CapExceededError
+from wtoll import CapExceededError, InternalConsistencyError
 from wtoll.convexity import DEFAULT_WTC_CAP, _first_convex, reduction_edge_list
 
 
@@ -83,6 +83,23 @@ class TestWtcExact:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             w.wtc_exact(w.complete_graph(1))
+
+    @pytest.mark.parametrize(
+        "g,tag",
+        [
+            (w.complete_graph(4), "COMPLETE"),
+            (w.cycle_graph(5), "PRIME_MAX_CLIQUE"),
+            (w.path_graph(4), "EXHAUSTIVE"),
+        ],
+        ids=["complete", "prime", "exhaustive"],
+    )
+    def test_witness_that_is_not_convex_is_refused(self, monkeypatch, g, tag):
+        import wtoll.convexity
+
+        assert w.wtc_exact(g).case_tag == tag
+        monkeypatch.setattr(wtoll.convexity, "is_convex", lambda g, s: False)
+        with pytest.raises(InternalConsistencyError, match="is not a proper convex set"):
+            w.wtc_exact(g)
 
 
 class TestPrunedSearch:

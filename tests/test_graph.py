@@ -283,6 +283,16 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(2, [(0, 5)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph(-1)
+
+    def test_equal_graphs_hash_equal(self):
+        a, b = Graph(4, [(0, 1), (1, 2), (2, 3)]), w.path_graph(4)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, w.parse_graph6(w.to_graph6(a))}) == 1
+        assert a != w.cycle_graph(4)
+
     def test_adjacency_symmetric(self):
         g = w.path_graph(4)
         for u in range(4):

@@ -4,11 +4,13 @@ import time
 import pytest
 
 import wtoll as w
-from wtoll import CapExceededError, DisconnectedGraphError
+from wtoll import CapExceededError, DisconnectedGraphError, InternalConsistencyError
+from wtoll.oracle import oracle_interval
 
 from _reference import (
     brute_force_wth,
     brute_force_wtn,
+    reference_wth,
     reference_wtn_twin_filter,
     reference_wtn_unpruned,
 )
@@ -137,7 +139,7 @@ class TestCoveringPair:
                 if not dominated:
                     continue
                 for v in set(range(g.n)) - g.neighbors(u) - {u}:
-                    inside = w.oracle_interval(g, {u, v})
+                    inside = oracle_interval(g, {u, v})
                     assert not inside & set(dominated), (g.edges(), u, v)
                     checked += 1
         assert checked > 1000
@@ -183,6 +185,19 @@ class TestWtnBudget:
             w.wtn(w.Graph(6, _FALLBACK_GRAPH))
         monkeypatch.setattr(wtoll.invariants, "_WTN_CANDIDATE_BUDGET", 6)
         assert w.wtn(w.Graph(6, _FALLBACK_GRAPH)) == (3, {1, 2, 3}, "WTN_K0")
+
+
+# one graph per wth branch
+WTH_CASES = [
+    (w.complete_graph(3), "COMPLETE"),
+    (w.cycle_graph(5), "PRIME_PAIR"),
+    (w.star_graph(4), "THREE_EXTREMAL"),
+    (w.Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)]),
+     "EXCLUSIVE_NOT_CLIQUE"),
+    (w.path_graph(4), "TWO_EXTREMAL_BOTH_EXTREME"),
+    (w.Graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]), "TWO_EXTREMAL_ONE_EXTREME"),
+    (w.Graph(6, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (3, 5)]), "TWO_EXTREMAL_NONE_EXTREME"),
+]
 
 
 class TestWth:
@@ -254,6 +269,52 @@ class TestWth:
             ext = w.extreme_vertices(g)
             assert ext <= w.wtn(g).witness
             assert ext <= w.wth(g).witness
+
+    @pytest.mark.parametrize("g,tag", WTH_CASES, ids=[tag for _, tag in WTH_CASES])
+    def test_witness_that_is_no_hull_set_is_refused(self, monkeypatch, g, tag):
+        # every branch leaves through the one hull check at wth's exit
+        import wtoll.invariants
+
+        assert w.wth(g).case_tag == tag
+        monkeypatch.setattr(wtoll.invariants, "hull", lambda g, s: frozenset(s) - {min(s)})
+        with pytest.raises(InternalConsistencyError, match=f"^{tag} witness .* not a hull set"):
+            w.wth(g)
+
+
+class TestWthReference:
+    """wth over masks with one hull check returns the value, witness and
+    case tag of the set-based version that checks at every exit."""
+
+    @staticmethod
+    def _same(g):
+        got, want = w.wth(g), reference_wth(g)
+        assert (got.value, got.witness, got.case_tag) == tuple(want), g.edges()
+        return got.case_tag
+
+    def test_corpus(self, corpus):
+        tags = {self._same(g) for g in corpus}
+        assert len(tags) == 7
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(14)
+        tags = set()
+        for _ in range(400):
+            n = rng.randint(8, 16)
+            p = rng.choice((0.15, 0.25, 0.35, 0.5, 0.7))
+            tags.add(self._same(random_connected_gnp(n, p, seed=rng.randrange(1 << 30))))
+        assert len(tags) >= 6
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            caterpillar(30, 2),
+            clique_chain(20, 4),
+            giant_component(w.gnp_graph(300, 4 / 300, seed=1)),
+        ],
+        ids=["caterpillar", "clique-chain", "sparse-giant"],
+    )
+    def test_families(self, g):
+        self._same(g)
 
 
 class TestBruteForce:

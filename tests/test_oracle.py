@@ -4,20 +4,21 @@ import pytest
 
 import wtoll as w
 from wtoll import CapExceededError
+from wtoll.oracle import WalkWitness, oracle_interval, oracle_membership
 
 from _reference import oracle_extreme, oracle_hull
 
 
 class TestMembership:
     def test_p4_natural_walk(self):
-        wit = w.oracle_membership(w.path_graph(4), 0, 3, 1)
+        wit = oracle_membership(w.path_graph(4), 0, 3, 1)
         assert wit is not None and wit.sequence == (0, 1, 2, 3)
 
     def test_p5_absent(self):
-        assert w.oracle_membership(w.path_graph(5), 0, 2, 4) is None
+        assert oracle_membership(w.path_graph(5), 0, 2, 4) is None
 
     def test_star_doubles_back_through_center(self):
-        wit = w.oracle_membership(w.star_graph(4), 1, 2, 3)
+        wit = oracle_membership(w.star_graph(4), 1, 2, 3)
         assert wit is not None and wit.sequence == (1, 0, 3, 0, 2)
 
     def test_witness_self_validates(self, corpus_small):
@@ -29,7 +30,7 @@ class TestMembership:
                     for v in range(g.n):
                         if v in (u, ww):
                             continue
-                        wit = w.oracle_membership(g, u, ww, v)
+                        wit = oracle_membership(g, u, ww, v)
                         if wit is not None:
                             assert wit.is_weakly_toll(g)
                             assert wit.sequence[0] == u
@@ -38,11 +39,11 @@ class TestMembership:
 
     def test_rejects_adjacent_endpoints(self):
         with pytest.raises(ValueError):
-            w.oracle_membership(w.path_graph(4), 0, 1, 2)
+            oracle_membership(w.path_graph(4), 0, 1, 2)
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError):
-            w.oracle_membership(w.path_graph(10), 0, 9, 5)
+            oracle_membership(w.path_graph(10), 0, 9, 5)
 
     def test_length_bound_not_truncating(self, corpus):
         # enumeration with the default bound and a looser 3n bound agree
@@ -56,17 +57,17 @@ class TestMembership:
                     for v in range(g.n):
                         if v in (u, ww):
                             continue
-                        short = w.oracle_membership(g, u, ww, v)
-                        loose = w.oracle_membership(g, u, ww, v, max_len=3 * g.n)
+                        short = oracle_membership(g, u, ww, v)
+                        loose = oracle_membership(g, u, ww, v, max_len=3 * g.n)
                         assert (short is None) == (loose is None)
 
 
 class TestDerivedOperators:
     def test_interval_p4(self):
-        assert w.oracle_interval(w.path_graph(4), {0, 3}) == {0, 1, 2, 3}
+        assert oracle_interval(w.path_graph(4), {0, 3}) == {0, 1, 2, 3}
 
     def test_interval_complete_inert(self):
-        assert w.oracle_interval(w.complete_graph(4), {1, 2}) == {1, 2}
+        assert oracle_interval(w.complete_graph(4), {1, 2}) == {1, 2}
 
     def test_hull_matches_interval_fixpoint(self):
         g = w.Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
@@ -82,7 +83,7 @@ class TestDerivedOperators:
     def test_cap_refusals(self):
         big = w.path_graph(10)
         with pytest.raises(CapExceededError):
-            w.oracle_interval(big, {0, 9})
+            oracle_interval(big, {0, 9})
         with pytest.raises(CapExceededError):
             oracle_extreme(big)
 
@@ -92,16 +93,16 @@ class TestDerivedOperators:
             n = rng.randint(2, 8)
             g = w.gnp_graph(n, rng.choice((0.2, 0.4, 0.6)), seed=rng.randrange(1 << 30))
             s = frozenset(v for v in range(n) if rng.random() < 0.4)
-            assert w.oracle_interval(g, s) == w.interval(g, s)
+            assert oracle_interval(g, s) == w.interval(g, s)
             assert oracle_hull(g, s) == w.hull(g, s)
             assert oracle_extreme(g) == w.extreme_vertices(g)
 
     def test_walk_witness_validator(self):
         p4 = w.path_graph(4)
-        assert w.WalkWitness((0, 1, 2, 3)).is_weakly_toll(p4)
-        assert not w.WalkWitness((0, 2)).is_weakly_toll(p4)  # not a walk
+        assert WalkWitness((0, 1, 2, 3)).is_weakly_toll(p4)
+        assert not WalkWitness((0, 2)).is_weakly_toll(p4)  # not a walk
         c4 = w.cycle_graph(4)
-        assert not w.WalkWitness((0, 1, 2, 3)).is_weakly_toll(c4)  # ends adjacent
+        assert not WalkWitness((0, 1, 2, 3)).is_weakly_toll(c4)  # ends adjacent
         paw = w.Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         # interior 2 is a second walk vertex adjacent to the endpoint 1
-        assert not w.WalkWitness((3, 2, 0, 1)).is_weakly_toll(paw)
+        assert not WalkWitness((3, 2, 0, 1)).is_weakly_toll(paw)
