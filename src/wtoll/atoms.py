@@ -152,10 +152,14 @@ def decompose(g: Graph) -> AtomDecomposition:
     (a reachability pass over the weight levels per vertex), one clique
     test and at most one component sweep per vertex, and an annotation
     that looks up each atom's partner among the atoms containing one of
-    its shared vertices.
+    its shared vertices. The result is memoized on the graph, so a second
+    call returns the same object.
     """
-    pieces = sorted(_atom_masks(g), key=lambda m: sorted(bits(m)))
-    return _annotate(pieces)
+    dec = g._derived.get("decompose")
+    if dec is None:
+        pieces = sorted(_atom_masks(g), key=lambda m: sorted(bits(m)))
+        dec = g._derived["decompose"] = _annotate(pieces)
+    return dec
 
 
 def _annotate(atom_masks: list[int]) -> AtomDecomposition:
@@ -195,7 +199,12 @@ def _annotate(atom_masks: list[int]) -> AtomDecomposition:
 def is_prime(g: Graph) -> bool:
     """True iff no clique of g separates g (i.e. g is its own single atom).
 
-    Stops at the first clique separator the walk finds."""
+    Reads the decomposition memoized on g when :func:`decompose` has run
+    on it; otherwise stops at the first clique separator the walk finds,
+    and stores nothing."""
+    dec = g._derived.get("decompose")
+    if dec is not None:
+        return len(dec.atoms) == 1
     return next(_atom_masks(g)) == g._full
 
 

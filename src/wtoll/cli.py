@@ -7,12 +7,14 @@ Every analysis command prints one JSON run report:
 
 ``--plain`` switches to short human-readable lines. Graph files are
 edge lists (`.el`, default) or graph6 (`.g6`), auto-detected by extension
-and, except in ``bench``, overridable with ``--format``; the path ``-``
+and overridable with ``--format`` in the analysis commands and
+``generate clique-reduction``; the path ``-``
 reads standard input. A graph6 input holds exactly one graph (blank lines
 aside).
 
 Exit codes: 0 success, 2 parse/argument error, 3 disconnected input where
-connectivity is required, 4 wtc cap or wtn search budget exceeded.
+connectivity is required, 4 wtc cap, wtc maximum-clique search budget
+(100,000 search nodes) or wtn search budget exceeded.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def _vertex_count(n: int) -> int:
 
 
 def _reduction(params: list[str], args: argparse.Namespace) -> str:
-    g = _load_graph(params[0], args.format)
+    g = _load_graph(params[0], args.format or "auto")
     _vertex_count(g.n + g.n * (g.n - 1) // 2 - g.m)  # one added vertex per non-edge
     return reduction_edge_list(clique_reduction(g, int(params[1])))
 
@@ -176,6 +178,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     count, takes, build = _FAMILIES[args.family]
     if len(args.params) != count:
         raise ValueError(f"{args.family} takes {takes}")
+    if args.format is not None and args.family != "clique-reduction":
+        raise ValueError(f"--format applies to clique-reduction only, not to {args.family}")
     _write(build(args.params, args), args.output)
     return 0
 
@@ -209,10 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wtoll",
         description="Weakly toll walks, intervals, hulls, and convexity invariants.",
     )
+    format_choices = ("auto", "el", "g6")
     formats = argparse.ArgumentParser(add_help=False)
     formats.add_argument(
         "--format",
-        choices=("auto", "el", "g6"),
+        choices=format_choices,
         default="auto",
         help="graph file format (default: by extension, .g6 = graph6, else edge list)",
     )
@@ -235,7 +240,12 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.set_defaults(func=_cmd_analysis)
 
-    p = sub.add_parser("generate", help="emit a graph from a named family", parents=[formats])
+    p = sub.add_parser("generate", help="emit a graph from a named family")
+    p.add_argument(
+        "--format",
+        choices=format_choices,
+        help="clique-reduction only: the input graph's format (default: by extension)",
+    )
     p.add_argument(
         "family",
         choices=tuple(_FAMILIES),

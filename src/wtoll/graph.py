@@ -4,9 +4,13 @@ Adjacency is stored once, as one int neighbor mask per vertex (bit i =
 vertex i), so neighborhood and component operations reduce to
 word-parallel integer arithmetic. Neighbor sets, degrees and edge lists
 are read off the masks on demand. All functions here are pure. A Graph's
-adjacency never changes after construction; its one mutable slot, the
-pair memo ``_pair_cache``, is filled by :mod:`wtoll.intervals` and holds
-at most one walk mask per nonadjacent pair.
+adjacency never changes after construction, so what is computed from it
+can be kept on it. It has two mutable slots, both memos: ``_pair_cache``,
+filled by :mod:`wtoll.intervals`, holds at most one walk mask per
+nonadjacent pair, and ``_derived`` holds at most one entry per kind of
+whole-graph result, the atom decomposition (:func:`wtoll.atoms.decompose`)
+and the extreme set (:func:`wtoll.intervals.extreme_vertices`), both
+immutable values.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import hashlib
 import re
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DisconnectedGraphError, GraphParseError
+from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
 
 __all__ = [
     "Graph",
@@ -76,7 +80,7 @@ def component_mask(masks: Sequence[int], allowed: int, start: int) -> int:
 class Graph:
     """Finite simple undirected graph with vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "_masks", "_full", "_pair_cache")
+    __slots__ = ("n", "m", "_masks", "_full", "_pair_cache", "_derived")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -110,6 +114,11 @@ class Graph:
         # lazily filled by wtoll.intervals; maps a nonadjacent pair (u, w)
         # with u < w to the mask of vertices on weakly toll (u, w)-walks
         self._pair_cache: dict[tuple[int, int], int] = {}
+        # lazily filled by wtoll.atoms and wtoll.intervals; maps the name of
+        # the function that computed a whole-graph result to that result:
+        # "decompose" to its AtomDecomposition, "extreme_vertices" to its
+        # frozenset
+        self._derived: dict[str, object] = {}
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(bits(self._masks[v]))
@@ -426,6 +435,14 @@ def _colour_classes(masks: Sequence[int], cand: list[int]) -> tuple[list[int], l
     return ordered, bound
 
 
+# Search nodes (frame pushes) max_clique may make before it refuses (exit 4
+# in the CLI). About 3.5 s on a 2-vCPU VM with Python 3.11 at n = 300, and
+# nearly twice the largest search measured to finish: 54,883 nodes on
+# G(300, 0.5) and 43,312 on G(150, 0.7), seed 1. The largest search in the
+# tests, the demos and the benchmark pools makes 120.
+_MAX_CLIQUE_NODE_BUDGET = 100_000
+
+
 def max_clique(g: Graph) -> frozenset[int]:
     """Exact maximum clique via branch and bound with a greedy coloring bound.
 
@@ -437,12 +454,17 @@ def max_clique(g: Graph) -> frozenset[int]:
     each frame holds a depth's candidates still to branch on, in colour
     order, with their class numbers, and ``r`` holds the vertex branched
     on in each frame below the top one (``len(r) == len(frames) - 1``).
+
+    Each frame pushed is one search node; past
+    ``_MAX_CLIQUE_NODE_BUDGET`` of them the search raises
+    :class:`CapExceededError` instead of running on.
     """
     masks = g._masks
     best: tuple[int, ...] = ()
     r: list[int] = []
     root = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     frames = [_colour_classes(masks, root)]
+    nodes = 1
     while frames:
         ordered, bound = frames[-1]
         if not ordered or len(r) + bound[-1] <= len(best):
@@ -454,6 +476,12 @@ def max_clique(g: Graph) -> frozenset[int]:
         bound.pop()
         sub = [u for u in ordered if masks[v] >> u & 1]
         if sub:
+            nodes += 1
+            if nodes > _MAX_CLIQUE_NODE_BUDGET:
+                raise CapExceededError(
+                    f"maximum clique search refused: it needs more than "
+                    f"{_MAX_CLIQUE_NODE_BUDGET} search nodes"
+                )
             r.append(v)
             frames.append(_colour_classes(masks, sub))
         elif len(r) + 1 > len(best):

@@ -24,7 +24,11 @@ one that is not simplicial stops at its first layer, L_1 = N(x).
 
 Everything here is pure. Per-pair walk masks are memoized on the Graph
 instance, which makes repeated interval/hull evaluations over overlapping
-pairs (subset searches, fixpoint iterations) cheap.
+pairs (subset searches, fixpoint iterations) cheap. The extreme set is
+memoized on it too, so the wtn solver's twin-class step reuses the set a
+caller has already asked for; the one-vertex test
+:func:`is_extreme_vertex` stops at x's first non-clique layer and keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -283,10 +287,15 @@ def extreme_vertices(g: Graph) -> frozenset[int]:
     first non-clique layer (:func:`_is_extreme`). Layer 1 is N(x), so
     that first test is the simplicial test, and a vertex that is not
     simplicial fails it without a second layer. Vertices of other
-    components never reach x, so an isolated vertex is extreme.
+    components never reach x, so an isolated vertex is extreme. The set
+    is memoized on the graph, so a second call returns the same object.
     """
-    masks = g._masks
-    return frozenset(x for x in range(g.n) if _is_extreme(masks, x))
+    ext = g._derived.get("extreme_vertices")
+    if ext is None:
+        masks = g._masks
+        ext = frozenset(x for x in range(g.n) if _is_extreme(masks, x))
+        g._derived["extreme_vertices"] = ext
+    return ext
 
 
 def is_extreme_vertex(g: Graph, x: int) -> bool:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --format" in err
 
+    @pytest.mark.parametrize("fmt", ["auto", "el", "g6"])
+    @pytest.mark.parametrize(
+        "argv", [["path", "3"], ["bowtie"], ["random-gnp", "5", "0.5"]],
+        ids=["path", "bowtie", "random-gnp"],
+    )
+    def test_generate_format_outside_clique_reduction_is_2(self, argv, fmt):
+        # only clique-reduction reads a graph file; the others write edge lists
+        code, out, err = run(["generate", *argv, "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == f"error: --format applies to clique-reduction only, not to {argv[0]}\n"
+
     def test_non_ascii_graph6_is_2(self):
         code, out, err = run(["twins", "-", "--format", "g6"], stdin="A\u00e9\n")
         assert (code, out, err) == (2, "", "error: invalid graph6 character\n")
@@ -306,6 +318,20 @@ class TestExitCodes:
         assert code == 4 and "NP-hard" in err
         code, out, _ = run(["wtc", str(path), "--cap", "20"])
         assert code == 0 and json.loads(out)["result"]["value"] == 19
+
+    def test_wtc_max_clique_budget_is_4(self, tmp_path):
+        # G(300, 0.7) is prime; its clique search ran over 285 s unbounded
+        path = tmp_path / "dense.el"
+        path.write_text(w.to_edge_list(w.gnp_graph(300, 0.7, seed=1)))
+        t0 = time.perf_counter()
+        code, out, err = run(["wtc", str(path)])
+        elapsed = time.perf_counter() - t0
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: maximum clique search refused: it needs more than "
+            "100000 search nodes\n"
+        )
+        assert elapsed < 20
 
     def test_wtn_budget_is_4(self, tmp_path, monkeypatch):
         import wtoll.invariants
@@ -407,6 +433,16 @@ class TestGenerate:
         assert code == 0
         assert "added 3 for pair (0, 2)" in out
         assert w.parse_edge_list(out).n == 4
+
+    @pytest.mark.parametrize("name,fmt", [("c5.g6", None), ("c5.txt", "g6"), ("c5.g6", "g6")])
+    def test_clique_reduction_reads_format(self, tmp_path, name, fmt):
+        path = tmp_path / name
+        path.write_text(w.to_graph6(w.cycle_graph(5)) + "\n")
+        argv = ["generate", "clique-reduction", str(path), "3"]
+        code, out, _ = run(argv + (["--format", fmt] if fmt else []))
+        assert code == 0
+        assert "added 5 for pair (0, 2)" in out
+        assert w.parse_edge_list(out).n == 10
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.el"
@@ -519,6 +555,48 @@ class TestBench:
         code, _, _ = run(["bench", str(tmp_path)])
         assert code == 0
         assert memo_sizes == [("interval", 0), ("hull", 0), ("wtn", 0), ("wth", 0)]
+
+    def test_each_op_starts_from_no_stored_results(self, tmp_path, monkeypatch):
+        # nor may an op read a decomposition or extreme set an earlier op
+        # stored on the graph
+        import wtoll.cli
+
+        (tmp_path / "p4.el").write_text(w.to_edge_list(w.path_graph(4)))
+        stored = []
+        for name in ("interval", "hull", "wtn", "wth"):
+            real = getattr(wtoll.cli, name)
+
+            def recording(g, *args, real=real, name=name):
+                stored.append((name, dict(g._derived)))
+                return real(g, *args)
+
+            monkeypatch.setattr(wtoll.cli, name, recording)
+        code, _, _ = run(["bench", str(tmp_path)])
+        assert code == 0
+        assert stored == [("interval", {}), ("hull", {}), ("wtn", {}), ("wth", {})]
+
+    def test_rows_apart_from_ms(self, tmp_path):
+        from _strategies import caterpillar, clique_chain
+
+        for name, g in [
+            ("p4.el", w.path_graph(4)), ("bowtie.el", w.bowtie_graph()),
+            ("k4.el", w.complete_graph(4)), ("cat.el", caterpillar(5, 2)),
+            ("chain.el", clique_chain(3, 4)),
+        ]:
+            (tmp_path / name).write_text(w.to_edge_list(g))
+        (tmp_path / "c5.g6").write_text(w.to_graph6(w.cycle_graph(5)) + "\n")
+        code, out, err = run(["bench", str(tmp_path)])
+        assert (code, err) == (0, "")
+        values = {
+            "bowtie.el,5,6": (3, 3, 4, 4), "c5.g6,5,5": (5, 5, 2, 2),
+            "cat.el,15,14": (5, 15, 2, 2), "chain.el,10,18": (3, 3, 6, 6),
+            "k4.el,4,6": (2, 2, 4, 4), "p4.el,4,3": (3, 3, 2, 2),
+        }
+        assert [line.rpartition(",")[0] for line in out.splitlines()] == ["graph,n,m,op,value"] + [
+            f"{graph},{op},{value}"
+            for graph, row in values.items()
+            for op, value in zip(("interval", "hull", "wtn", "wth"), row)
+        ]
 
 
 # the package's public names; each module lists its own in __all__

@@ -392,6 +392,18 @@ class TestCliques:
             )
             assert len(w.max_clique(g)) == len(best)
 
+    def test_max_clique_node_budget(self, monkeypatch):
+        # G(60, 0.6) seed 1 is searched in 131 nodes, the root included
+        import wtoll.graph
+
+        g = w.gnp_graph(60, 0.6, seed=1)
+        clique = w.max_clique(g)
+        monkeypatch.setattr(wtoll.graph, "_MAX_CLIQUE_NODE_BUDGET", 131)
+        assert w.max_clique(g) == clique
+        monkeypatch.setattr(wtoll.graph, "_MAX_CLIQUE_NODE_BUDGET", 130)
+        with pytest.raises(w.CapExceededError, match="more than 130 search nodes"):
+            w.max_clique(g)
+
     def test_max_clique_matches_enumeration_corpus(self, corpus):
         for g in corpus:
             best = max(
