@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
@@ -75,6 +76,10 @@ def component_mask(masks: Sequence[int], allowed: int, start: int) -> int:
         frontier = reach & allowed & ~comp
         comp |= frontier
     return comp
+
+
+# bytes.translate table taking the digits b"0" and b"1" to the bytes 0 and 1
+_BINARY_DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Graph:
@@ -142,15 +147,38 @@ class Graph:
 
         The sha256 prefix of ``"n;u,v;u,v;..."`` over :meth:`edges` in
         order, joined from per-vertex strings made once, not formatted
-        per edge.
+        per edge. The neighbors of u above u form u's row. A dense row,
+        one with at least 8 neighbors that fill at least a sixteenth of
+        its bit length (the span from u + 1 to its highest neighbor), is
+        picked out of ``names`` by one ``compress`` over the row's binary
+        digits and joined into one segment ``"u,v;u,v;..."``; any other
+        row is listed per edge. A graph with fewer than 8n edges has few
+        rows that repay a row's fixed cost, so it is listed per edge with
+        no per-row test.
         """
-        names = list(map(str, range(self.n)))
+        n, masks = self.n, self._masks
+        names = list(map(str, range(n)))
         heads = [name + "," for name in names]
-        payload = f"{self.n};" + ";".join([
-            heads[u] + names[v]
-            for u, mask in enumerate(self._masks)
-            for v in bits(mask >> (u + 1) << (u + 1))  # the neighbors above u
-        ])
+        if self.m < 8 * n:
+            segments = [
+                heads[u] + names[v]
+                for u, mask in enumerate(masks)
+                for v in bits(mask >> (u + 1) << (u + 1))  # the neighbors above u
+            ]
+        else:
+            segments = []
+            for u, mask in enumerate(masks):
+                upper = mask >> (u + 1)
+                k = upper.bit_count()
+                if k >= 8 and k << 4 >= upper.bit_length():
+                    # bit i of upper is vertex u + 1 + i, so the binary
+                    # digits reversed select from names[u + 1:]
+                    selector = bin(upper)[:1:-1].encode().translate(_BINARY_DIGIT_VALUE)
+                    row = compress(names[u + 1:], selector)
+                    segments.append(heads[u] + (";" + heads[u]).join(row))
+                elif k:
+                    segments += [heads[u] + names[v] for v in bits(upper << (u + 1))]
+        payload = f"{n};" + ";".join(segments)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def __eq__(self, other: object) -> bool:
@@ -180,51 +208,107 @@ _NOT_PLAIN_LINE = re.compile(
     r"^(?![0-9]+[ \t]+[0-9]+$|[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?$)", re.MULTILINE
 )
 
+_DIGITS = b"0123456789"
+
+
+def _is_bare_edge_list(data: bytes) -> bool:
+    r"""True iff every line of ``data`` is digits, one space, digits, and
+    the lines are split by ``\n`` (the last one may lack it): what
+    :func:`to_edge_list` writes with no comments.
+
+    With the digits deleted (and a last ``\n`` supplied) such text reads
+    ``" \n"`` once per line, and no line starts or ends with its space,
+    so both numbers are there.
+    """
+    body = data.translate(None, _DIGITS)
+    if not data.endswith(b"\n"):
+        body += b"\n"
+    return (
+        body == b" \n" * (len(body) >> 1)
+        and b"\n " not in data
+        and b" \n" not in data
+        and not data.startswith(b" ")
+        and not data.endswith(b" ")
+    )
+
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format.
+    r"""Parse the plain edge-list format.
 
     The first non-comment line is ``n m``; every following line is an edge
     ``u v`` with ``0 <= u, v < n`` and ``u != v``. Lines starting with ``#``
     and blank lines are ignored. Parallel edges collapse silently;
     self-loops are a hard error, and so is ``n`` above :data:`MAX_VERTICES`.
 
-    Text that holds only blank lines and "u v" lines of plain decimal
-    vertex ids is read in bulk. Anything else (comments, other whitespace,
-    signs, a bad line) goes through the line loop, which reports the first
-    bad line by number.
+    ASCII text that holds only blank lines and "u v" lines of plain decimal
+    vertex ids is read in bulk. Two checks, cheapest first, find such text:
+    a byte-level one for the bare "u v\n" lines :func:`to_edge_list`
+    writes, then a search for a line that is not plain, which admits tabs,
+    blank lines and runs of spaces. Anything else (comments, other
+    whitespace, signs, a bad line) goes through the line loop, which
+    reports the first bad line by number; so does text the bulk read
+    refuses.
     """
-    if _NOT_PLAIN_LINE.search(text) is None:
-        g = _parse_plain_edge_list(text)
-        if g is not None:
-            return g
+    if text.isascii():
+        data = text.encode("ascii")
+        if _is_bare_edge_list(data) or _NOT_PLAIN_LINE.search(text) is None:
+            g = _parse_plain_edge_list(data)
+            if g is not None:
+                return g
     return _parse_edge_list_lines(text)
 
 
-def _parse_plain_edge_list(text: str) -> Graph | None:
-    """Bulk parse of text with no ``_NOT_PLAIN_LINE``; None if the
+class _VertexIds(dict):
+    """Vertex id of each distinct token, converted on its first lookup.
+
+    A token at or above ``n`` raises ``KeyError``, and one too long for
+    ``int`` raises ``ValueError``. Only the tokens looked up are
+    converted, never a table of all n names, so a header-only file with a
+    large ``n`` costs nothing here.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, token: bytes) -> int:
+        v = int(token)
+        if v >= self.n:
+            raise KeyError(token)
+        self[token] = v
+        return v
+
+
+def _parse_plain_edge_list(data: bytes) -> Graph | None:
+    """Bulk parse of ASCII text with no ``_NOT_PLAIN_LINE``; None if the
     line loop must decide (no header, a vertex count over the limit, a
     number too long for ``int``, an endpoint out of range, a self-loop)."""
-    # bytes tokens are smaller than str ones, and the text is ASCII here
-    tokens = text.encode("ascii").split()
+    tokens = data.split()  # bytes tokens are smaller than str ones
     if not tokens:
         return None
     head = tokens[:2]
     del tokens[:2]
-    names = set(tokens)  # each distinct vertex id is converted once
     try:
         n, _ = map(int, head)
-        ids = dict(zip(names, map(int, names)))
-    except ValueError:  # more digits than int() converts
+        if n > MAX_VERTICES:
+            return None
+        if len(tokens) < 16 * n:
+            # under 16 tokens per vertex, converting every token costs
+            # less than a lookup whose every first miss is a Python call
+            ids = list(map(int, tokens))
+            if max(ids, default=-1) >= n:
+                return None
+        else:
+            ids = map(_VertexIds(n).__getitem__, tokens)
+        masks = [0] * n
+        pairs = iter(ids)
+        for u, v in zip(pairs, pairs):
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    except (KeyError, ValueError):  # an endpoint out of range or too long
         return None
-    del names  # before the masks are built, to keep the peak down
-    if n > MAX_VERTICES or max(ids.values(), default=-1) >= n:
-        return None
-    masks = [0] * n
-    pairs = iter(map(ids.__getitem__, tokens))
-    for u, v in zip(pairs, pairs):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
     if any(mask >> u & 1 for u, mask in enumerate(masks)):
         return None  # a self-loop
     return Graph._from_masks(n, masks)
@@ -266,8 +350,13 @@ def _parse_edge_list_lines(text: str) -> Graph:
 
 
 def to_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:
-    """Serialize to the edge-list format (re-parsing yields an equal graph)."""
-    lines = [f"# {c}" for c in comments]
+    """Serialize to the edge-list format (re-parsing yields an equal graph).
+
+    Each comment is written as one ``# `` line per piece that
+    ``str.splitlines`` (which the parser's line loop also splits by) cuts
+    it into, so a line break inside a comment cannot start a data line.
+    """
+    lines = [f"# {piece}" for c in comments for piece in c.splitlines() or [""]]
     lines.append(f"{g.n} {g.m}")
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"

@@ -2,17 +2,19 @@ import hashlib
 import random
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, compress
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wtoll as w
 from wtoll import Graph, GraphParseError
 from wtoll.graph import (
     _NOT_PLAIN_LINE,
     MAX_VERTICES,
+    _is_bare_edge_list,
     _g6_encode_size,
     _is_clique_mask,
     _nonadjacent_pairs,
@@ -49,6 +51,82 @@ def same_edge_list_error(text):
 
 def same_graph6_error(text):
     assert assert_parses_like_reference(w.parse_graph6, reference_parse_graph6, text)
+
+
+# Text outside the bulk read's shape, or refused by it, takes the line
+# loop; valid or not, the result must be the reference's.
+FALLBACK_CASES = [
+    "# c\n4 3\n0 1\n# mid\n1 2\n2 3\n",  # comments
+    "# c\n4 3\n0 1\n# mid\n1 9\n",
+    "4 3\r\n0 1\r\n1 2\r\n2 3\r\n",  # \r
+    "4 3\r\n0 1\r\n3 3\r\n",
+    "4 3\n+1 2\n0 1\n",  # sign
+    "4 3\n-1 2\n",
+    "-1 0\n",
+    "12 3\n1_0 2\n",  # underscore
+    "4 3\n1_0 2\n",
+    "4 3\n\u0661 2\n",  # non-ASCII digit
+    "4 3\n\u0669 2\n",
+    "4 3\n0 1\n2\n",  # one token
+    "4\n0 1\n",
+    "4 3\n0 1 2\n",  # three tokens
+    "4 3 9\n0 1\n",
+    "4 3\n0 1\n1 4\n2 3\n",  # out of range
+    "0 0\n0 1\n",
+    "4 3\n0 1\n2 2\n3 9\n",  # self-loop
+    "4 3\n0 " + "1" * 5000 + "\n",  # too many digits for int()
+    "4 " + "1" * 5000 + "\n0 1\n",
+    "1" * 5000 + " 3\n",
+    "4 3\n00 01\n1 002\n",  # leading zeros
+    "4 3\n0 1\x0c\n1 2\n",  # other whitespace
+    "4 3\n0\u00a01\n",
+    "4 1\n007 1\n",  # a padded id at n
+    "4 1\n4 0\n",  # a first endpoint equal to n
+    f"{MAX_VERTICES} 1\n{MAX_VERTICES} 0\n",
+    "4 2\n0 1\n3 3",  # a self-loop on a last line with no newline
+    "4 2\n0\n1 2 3\n",  # a 1-token line, then a 3-token one
+    "4 1\n0 1\n3",  # a last 1-token line
+    "4 1\n0 1\n3\n",
+    "20 2\n12 \n 3\n",  # one number with a trailing or a leading space
+    "20 1\n12 \n",
+    "20 1\n 12\n",
+    "4 2\n0\x0b1\n1 2\n",  # \v
+]
+
+# Text the bulk read takes
+BULK_CASES = [
+    "5 0",  # header only
+    "5 0\n",
+    "\n\n5 0\n\n",
+    "4 3\n0 1\n1 2\n2 3",  # no final newline
+    "4 3 \n0 1  \n\t1\t2\t\n  2 3 ",  # trailing and leading blanks
+    "4 3\n\n0 1\n \n1 2\n\t\n2 3\n\n",
+    "3 1\n2 0\n0 2\n",
+    "0 0\n",
+    "8 2\n007 1\n1 2\n",  # leading zeros
+    "8 2\n7 1\n007 1\n",  # one vertex spelled two ways
+    f"{MAX_VERTICES} 1\n0 {MAX_VERTICES - 1}\n",
+    "4 2\n0\t1\n1\t2\n",
+    "0 0",
+]
+
+
+def _with_many_tokens(text):
+    """``text`` with 8n "0 1" lines after its header line, so that the
+    bulk read meets at least 16 tokens per vertex and looks each distinct
+    token up instead of converting every one; None unless the header
+    starts with an n from 2 to 100."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts and not parts[0].startswith("#"):
+            break
+    else:
+        return None
+    if not (parts[0].isdecimal() and len(parts[0]) <= 3 and 2 <= int(parts[0]) <= 100):
+        return None
+    lines[i] += "\n0 1" * (8 * int(parts[0]))
+    return "\n".join(lines)
 
 
 class TestParseEdgeList:
@@ -94,54 +172,19 @@ class TestParseEdgeList:
         same_edge_list_error("")
         same_edge_list_error(" \n\t\n")
 
-    # Text outside the bulk path's shape, or rejected by its checks, takes
-    # the line loop; valid or not, the result must be the reference's.
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "# c\n4 3\n0 1\n# mid\n1 2\n2 3\n",  # comments
-            "# c\n4 3\n0 1\n# mid\n1 9\n",
-            "4 3\r\n0 1\r\n1 2\r\n2 3\r\n",  # \r
-            "4 3\r\n0 1\r\n3 3\r\n",
-            "4 3\n+1 2\n0 1\n",  # sign
-            "4 3\n-1 2\n",
-            "-1 0\n",
-            "12 3\n1_0 2\n",  # underscore
-            "4 3\n1_0 2\n",
-            "4 3\n\u0661 2\n",  # non-ASCII digit
-            "4 3\n\u0669 2\n",
-            "4 3\n0 1\n2\n",  # one token
-            "4\n0 1\n",
-            "4 3\n0 1 2\n",  # three tokens
-            "4 3 9\n0 1\n",
-            "4 3\n0 1\n1 4\n2 3\n",  # out of range
-            "0 0\n0 1\n",
-            "4 3\n0 1\n2 2\n3 9\n",  # self-loop
-            "4 3\n0 " + "1" * 5000 + "\n",  # too many digits for int()
-            "4 " + "1" * 5000 + "\n0 1\n",
-            "1" * 5000 + " 3\n",
-            "4 3\n00 01\n1 002\n",  # leading zeros
-            "4 3\n0 1\x0c\n1 2\n",  # other whitespace
-            "4 3\n0\u00a01\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", FALLBACK_CASES)
     def test_fallback_matches_reference(self, text):
+        assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+
+    @pytest.mark.parametrize("text", BULK_CASES)
+    def test_bulk_path_matches_reference(self, text):
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
 
     @pytest.mark.parametrize(
         "text",
-        [
-            "5 0",  # header only
-            "5 0\n",
-            "\n\n5 0\n\n",
-            "4 3\n0 1\n1 2\n2 3",  # no final newline
-            "4 3 \n0 1  \n\t1\t2\t\n  2 3 ",  # trailing and leading blanks
-            "4 3\n\n0 1\n \n1 2\n\t\n2 3\n\n",
-            "3 1\n2 0\n0 2\n",
-            "0 0\n",
-        ],
+        [t for t in map(_with_many_tokens, FALLBACK_CASES + BULK_CASES) if t is not None],
     )
-    def test_bulk_path_matches_reference(self, text):
+    def test_many_tokens_match_reference(self, text):
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
 
     def test_shape_check_is_line_local(self):
@@ -187,6 +230,205 @@ class TestParseEdgeList:
     @given(graphs(max_n=12))
     def test_roundtrip(self, g):
         assert w.parse_edge_list(w.to_edge_list(g)) == g
+
+    @pytest.mark.parametrize(
+        "comments",
+        [
+            ["two\nlines"],
+            ["x\r0 2"],  # a bare \r made "0 2" the header
+            ["a\r\nb", "c\x0bd\x0ce\x1cf\x85g\u2028h"],
+            ["1 2\n3 4\n"],
+            ["", "\n"],
+        ],
+    )
+    def test_comment_line_breaks_round_trip(self, comments):
+        g = w.gnp_graph(6, 0.5, seed=1)
+        text = w.to_edge_list(g, comments)
+        assert w.parse_edge_list(text) == g
+        assert reference_parse_edge_list(text) == g
+        pieces = [piece for c in comments for piece in c.splitlines() or [""]]
+        assert text.splitlines() == [f"# {piece}" for piece in pieces] + w.to_edge_list(
+            g
+        ).splitlines()
+
+    def test_single_line_comments_unchanged(self):
+        g = w.path_graph(3)
+        assert w.to_edge_list(g, ["one", ""]) == "# one\n# \n3 2\n0 1\n1 2\n"
+
+    @pytest.mark.parametrize(
+        "text, bare",
+        [
+            ("4 2\n0 1\n1 2\n", True),
+            ("4 2\n0 1\n1 2", True),
+            ("5 0", True),
+            ("100 1\n007 99\n", True),
+            ("", False),
+            ("\n", False),
+            ("5", False),  # a 1-token line
+            ("4 1\n0 1\n3", False),
+            ("4 1\n0 1\n3\n", False),
+            ("4 2\n\n0 1\n", False),  # a blank line
+            ("4 2\n0  1\n", False),  # a run of spaces
+            ("4 2\n0\t1\n", False),
+            ("4 2\r\n0 1\r\n", False),
+            (" 4 2\n0 1\n", False),
+            ("4 2 \n0 1\n", False),
+            ("4 2\n0 1 \n", False),
+            ("4 2\n0 1\n ", False),
+            ("4 2\n0\n1 2 3\n", False),
+            ("4 2\n12 \n 3\n", False),
+            ("4 2\n0 1\n# c\n", False),
+        ],
+    )
+    def test_bare_shape(self, text, bare):
+        assert _is_bare_edge_list(text.encode()) is bare
+
+    def test_header_only_file_allocates_no_name_table(self):
+        # the lookup converts only the tokens it meets, so a header-only
+        # file with the largest n holds no table of n vertex names
+        text = f"{MAX_VERTICES} 0\n"
+        w.parse_edge_list(text)
+        tracemalloc.start()
+        try:
+            g = w.parse_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == MAX_VERTICES and g.m == 0
+        # the masks list and its tuple take 1.6 MB; a table of the names
+        # would add about 9 MB
+        assert peak < 3_000_000
+
+
+@st.composite
+def edge_list_layouts(draw):
+    """A graph and its edge list laid out with tabs, runs of blanks,
+    blank lines and leading zeros, each in a drawn share of the places
+    it could go (none, some or all)."""
+    n = draw(st.integers(0, 40))
+    p = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+    g = w.gnp_graph(n, p, seed=draw(st.integers(0, 10**6)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    share = {k: draw(st.sampled_from((0.0, 0.3, 1.0))) for k in ("sep", "pad", "blank", "zero")}
+
+    def chance(kind):
+        return rng.random() < share[kind]
+
+    def blanks():
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(1, 3)))
+
+    def number(x):
+        return "0" * rng.randint(1, 3) + x if chance("zero") else x
+
+    lines = []
+    for line in w.to_edge_list(g).splitlines():
+        while chance("blank") and rng.random() < 0.5:
+            lines.append(blanks() if rng.random() < 0.5 else "")
+        a, b = line.split()
+        sep = blanks() if chance("sep") else " "
+        lead, trail = (blanks(), blanks()) if chance("pad") else ("", "")
+        lines.append(lead + number(a) + sep + number(b) + trail)
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
+    return g, text
+
+
+class TestEdgeListLayouts:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_list_layouts())
+    def test_same_graph_and_fingerprint(self, case):
+        g, text = case
+        # every layout stays on the bulk read
+        assert _NOT_PLAIN_LINE.search(text) is None
+        got = w.parse_edge_list(text)
+        assert got == g and got.m == g.m
+        assert got.fingerprint() == g.fingerprint() == reference_fingerprint(g)
+
+
+def _row_graph(n, row, clique_from):
+    """Vertex 0 joined to ``row``, plus a clique on ``clique_from``..n-1."""
+    edges = [(0, v) for v in row]
+    edges += combinations(range(clique_from, n), 2)
+    return Graph(n, edges)
+
+
+class TestFingerprintMatchesReference:
+    """``Graph.fingerprint`` builds a dense row as one segment and a sparse
+    one per edge; both must give the reference's payload."""
+
+    @pytest.mark.parametrize(
+        "k, top, dense",
+        [
+            (8, 127, True),  # 16k = 128 against a bit length of 127
+            (8, 128, True),  # at the switch
+            (8, 129, False),
+            (7, 100, False),  # one neighbor short of the minimum
+            (9, 144, True),
+            (9, 145, False),
+            (299, 299, True),
+        ],
+    )
+    def test_rows_at_the_density_switch(self, monkeypatch, k, top, dense):
+        # row 0 has k neighbors, the highest at ``top``, so its bit length
+        # is ``top``; the clique on 200..299 (4,950 edges) puts the graph
+        # above 8n edges, where rows are tested one by one
+        import wtoll.graph
+
+        row = [top] + random.Random(top).sample(range(1, top), k - 1)
+        g = _row_graph(300, row, 200)
+        lengths = []
+
+        def counting(data, selector):
+            lengths.append(len(data))
+            return compress(data, selector)
+
+        monkeypatch.setattr(wtoll.graph, "compress", counting)
+        assert g.fingerprint() == reference_fingerprint(g)
+        assert (299 in lengths) is dense  # row 0 selects from names[1:]
+
+    def test_sparse_graph_lists_every_row_per_edge(self, monkeypatch):
+        # a star has a full row 0 but fewer than 8n edges, so no row is
+        # tested and none is compressed
+        import wtoll.graph
+
+        g = w.star_graph(300)
+        monkeypatch.setattr(wtoll.graph, "compress", None)
+        assert g.m < 8 * g.n
+        assert g.fingerprint() == reference_fingerprint(g)
+
+    # n = 0, 1 and 2 are here too, K_2 minus its matching being two
+    # isolated vertices
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 18, 40, 100, 300])
+    def test_complete_and_minus_a_perfect_matching(self, n):
+        g = w.complete_graph(n)
+        assert g.fingerprint() == reference_fingerprint(g)
+        if n % 2 == 0:
+            matching = {(v, v + 1) for v in range(0, n, 2)}
+            h = Graph(n, [e for e in g.edges() if e not in matching])
+            assert h.fingerprint() == reference_fingerprint(h)
+
+    def test_relabelled_paths(self):
+        rng = random.Random(5)
+        for n in (2, 10, 90, 300):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = Graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
+            assert g.fingerprint() == reference_fingerprint(g)
+
+    def test_isolated_vertices(self):
+        rng = random.Random(6)
+        # below 8n edges, listed per edge; above it, row by row
+        for n, p in ((60, 0.5), (300, 0.5), (300, 0.9)):
+            h = w.gnp_graph(n, p, seed=n)
+            # spread the vertices over 0..2n-1, leaving n of them isolated
+            label = sorted(rng.sample(range(2 * n), n))
+            rng.shuffle(label)
+            g = Graph(2 * n, [(label[u], label[v]) for u, v in h.edges()])
+            assert g.fingerprint() == reference_fingerprint(g)
+
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9, 1.0])
+    def test_gnp_300(self, p):
+        g = w.gnp_graph(300, p, seed=17)
+        assert g.fingerprint() == reference_fingerprint(g)
 
 
 class TestGraph6:
