@@ -1,12 +1,12 @@
 """Clique-separator decomposition into maximal prime subgraphs (atoms).
 
-The decomposition pipeline is the classic one: compute a minimal
-elimination ordering and the matching minimal triangulation (MCS-M), then
-walk the ordering, and whenever a vertex's later triangulation
-neighborhood is a clique of the original graph that still separates the
-remaining graph, split off the component of the vertex together with that
-separator. The pieces are exactly the maximal prime subgraphs; a naive
-exponential recomputation ships alongside for testing.
+The pipeline is the classic one: compute a minimal elimination ordering
+with MCS-M, then walk it, and whenever a vertex's later neighborhood in
+the minimal triangulation (which is never built: MCS-M records only the
+separators small enough to be cliques) is a clique of the graph that
+still separates the rest, split off the vertex's component together with
+that separator. The pieces are exactly the maximal prime subgraphs; a
+naive exponential recomputation ships alongside for testing.
 """
 
 from __future__ import annotations
@@ -44,32 +44,30 @@ class AtomDecomposition(NamedTuple):
 _DISCONNECTED = "clique separator decomposition needs a connected graph"
 
 
-def _mcs_m(g: Graph) -> tuple[list[int], list[int], set[int]]:
-    """MCS-M: minimal elimination ordering, minimal triangulation, separator generators.
+def _mcs_m(g: Graph) -> tuple[list[int], dict[int, int]]:
+    """MCS-M: a minimal elimination ordering and the separators that can be cliques.
 
-    Returns (meo, h, generators) where meo[0] is eliminated first and h[v]
-    is the neighbor mask of v in the minimal triangulation H (original
-    edges plus fill). The unnumbered vertices sit in weight buckets, one
-    mask per weight, and each step numbers z, the least vertex of the
-    highest non-empty bucket. An unnumbered u of weight j then gets its
-    weight bumped and the edge zu in H iff some path from z to u has all
-    its interior vertices unnumbered and of weight below j. One pass over
-    the weight levels j = 0, 1, ... finds every such u: it keeps
-    ``comp``, the unnumbered vertices of weight < j reachable from z
-    through unnumbered vertices of weight < j, so the vertices of weight j
-    that qualify are those in N(z) | N(comp); ``comp`` then grows through
-    the vertices of weight j. When the selected weight fails to exceed
-    the previously selected one, z's later neighborhood in H is a minimal
-    separator of H; those z make up ``generators``.
+    Returns (meo, separators), meo[0] eliminated first. Each step numbers
+    z, the least vertex of the highest non-empty weight bucket, and bumps
+    each unnumbered u of weight j that z reaches through unnumbered
+    vertices of weight below j (zu is then an edge of the minimal
+    triangulation), in one pass over the non-empty levels j = 0, 1, ...
+    that stops growing the reach once it touches every vertex above j.
+    When the selected weight fails to exceed the previous one, z is a
+    generator, and the vertices that bumped it form a minimal separator. A
+    clique has at most bound = Δ + 1 members, so bumps are recorded only
+    below level bound, and ``separators`` holds each generator of weight at
+    most bound with its (then complete) separator mask.
     """
     n = g.n
     masks = g._masks
-    h = list(masks)
-    buckets = [g._full]  # buckets[w]: the unnumbered vertices of weight w
+    bound = max(map(int.bit_count, masks), default=0) + 1
+    seps = [0] * n  # seps[u]: the vertices that bumped u at a level below bound
+    buckets = [g._full] + [0] * n  # buckets[w]: the unnumbered vertices of weight w
     unnumbered = g._full
     top = 0
     order_rev: list[int] = []
-    generators: set[int] = set()
+    separators: dict[int, int] = {}
     prev_weight = -1
     for _ in range(n):
         while not buckets[top]:
@@ -78,44 +76,49 @@ def _mcs_m(g: Graph) -> tuple[list[int], list[int], set[int]]:
         z = zbit.bit_length() - 1
         buckets[top] ^= zbit
         unnumbered ^= zbit
-        if top <= prev_weight:
-            generators.add(z)
+        if top <= prev_weight and top <= bound:
+            separators[z] = seps[z]
         prev_weight = top
-        near = masks[z]  # N(z) | N(comp)
-        comp = 0
-        region = 0  # the unnumbered vertices of weight <= j
+        near = masks[z]  # N(z) | N(the vertices reached so far)
+        above = unnumbered  # the unnumbered vertices of weight > j
+        pending = 0  # the unnumbered vertices of weight <= j not yet reached
         bumped = 0  # the qualifying vertices of weight j, moving to bucket j + 1
         for j in range(top + 1):
             level = buckets[j]
             hit = level & near
             buckets[j] = level ^ hit | bumped
             bumped = hit
-            if hit:
-                h[z] |= hit
+            if not level:
+                continue
+            if hit and j < bound:
                 for u in bits(hit):
-                    h[u] |= zbit
-            region |= level
-            above = unnumbered & ~region
+                    seps[u] |= zbit
+            above ^= level
             if not above:
                 break
-            frontier = hit  # near & region & ~comp, as comp is closed below j
+            pending |= level
+            frontier = hit  # near & pending, as the reach is closed below j
             while frontier:
-                comp |= frontier
+                pending ^= frontier
                 while frontier:
                     low = frontier & -frontier
                     near |= masks[low.bit_length() - 1]
                     frontier ^= low
-                frontier = near & region & ~comp
+                frontier = near & pending
             if not near & above:
                 break
+            if not above & ~near:  # every level above j moves up whole
+                for k in range(j + 1, min(top + 1, bound)):
+                    for u in bits(buckets[k]):
+                        seps[u] |= zbit
+                buckets.insert(j + 1, bumped)  # the list grows by at most n
+                bumped, top = 0, top + 1
+                break
         if bumped:
-            if j + 1 == len(buckets):
-                buckets.append(bumped)
-            else:
-                buckets[j + 1] |= bumped
+            buckets[j + 1] |= bumped
             top = max(top, j + 1)
         order_rev.append(z)
-    return order_rev[::-1], h, generators
+    return order_rev[::-1], separators
 
 
 def _atom_masks(g: Graph) -> Iterator[int]:
@@ -123,20 +126,15 @@ def _atom_masks(g: Graph) -> Iterator[int]:
     separator walk finds it, then the remainder as the last atom."""
     _require_connected(g, _DISCONNECTED)
     masks = g._masks
-    meo, h, generators = _mcs_m(g)
-    later = g._full  # vertices not yet passed in the elimination ordering
     available = g._full
-    for x in meo:
-        later &= ~(1 << x)
-        if x not in generators:
-            continue
-        sep_mask = h[x] & later
+    # the generators in elimination order, as MCS-M numbers them in reverse
+    for x, sep_mask in reversed(_mcs_m(g)[1].items()):
         if not available >> x & 1 or sep_mask & ~available:
             raise InternalConsistencyError(
                 "elimination ordering touched an already split-off vertex"
             )
         if not _is_clique_mask(masks, sep_mask):
-            continue  # a minimal separator of H but not a clique in g
+            continue  # a minimal separator of the triangulation, not a clique in g
         comp = component_mask(masks, available & ~sep_mask, x)
         region = comp | sep_mask
         if region != available:
@@ -150,10 +148,10 @@ def decompose(g: Graph) -> AtomDecomposition:
 
     Atoms are returned sorted by least member. The work is one MCS-M pass
     (a reachability pass over the weight levels per vertex), one clique
-    test and at most one component sweep per vertex, and an annotation
-    that looks up each atom's partner among the atoms containing one of
-    its shared vertices. The result is memoized on the graph, so a second
-    call returns the same object.
+    test and at most one component sweep per separator of at most Δ + 1
+    members, and an annotation that finds each atom's partner among the
+    atoms containing one of its shared vertices. The result is memoized
+    on the graph, so a second call returns the same object.
     """
     dec = g._derived.get("decompose")
     if dec is None:

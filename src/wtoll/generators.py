@@ -42,6 +42,8 @@ def bowtie_graph() -> Graph:
 
 def gnp_graph(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi G(n, p), deterministic for a given seed."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"edge probability p must lie in [0, 1], not {p}")
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -12,7 +12,9 @@
   (``wtoll.oracle``), sharing no logic with the library's operators.
 - MCS-M on adjacency sets, with the triangulation kept as sets and a
   Dial-bucket relaxation per vertex; the library's bucketed bitmask MCS-M
-  must return the same ordering, generators and triangulation.
+  must return the same ordering and, for every generator whose separator
+  (its later neighborhood in the triangulation) has at most Δ + 1
+  members, the same separator.
 - The atom annotation by the direct triple loop: for each atom, the first
   other atom whose intersection with it contains every other
   intersection; the library's annotation must return the same

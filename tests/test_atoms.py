@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import wtoll as w
 from wtoll import DisconnectedGraphError
 from wtoll.atoms import _mcs_m, brute_force_atoms
-from wtoll.graph import mask_of
+from wtoll.graph import _is_clique_mask, mask_of
 
 from _reference import reference_annotate, reference_mcs_m
 from _strategies import (
@@ -82,6 +82,12 @@ class TestDecompose:
         assert w.is_prime(g) == (len(d.atoms) == 1)
 
 
+def _near_complete(k):
+    """K_{k+2} minus the edge 01: two K_{k+1} glued on a K_k, whose clique
+    separator has Δ - 1 members."""
+    return w.Graph(k + 2, [(u, v) for u in range(k + 2) for v in range(max(u + 1, 2), k + 2)])
+
+
 def _mcs_m_graphs():
     yield from (w.gnp_graph(n, 4 / n, seed=n) for n in (40, 120, 300))
     yield from (random_connected_gnp(n, 0.2, seed=n) for n in (20, 60))
@@ -89,6 +95,7 @@ def _mcs_m_graphs():
     yield caterpillar(100, 2)
     yield clique_chain(100, 4)
     yield giant_component(w.gnp_graph(1000, 4 / 1000, seed=1000))
+    yield from (_near_complete(k) for k in range(1, 9))
 
 
 class TestMcsM:
@@ -96,17 +103,22 @@ class TestMcsM:
 
     @staticmethod
     def _assert_matches_reference(g):
-        meo, h, generators = _mcs_m(g)
+        meo, separators = _mcs_m(g)
         ref_meo, ref_h, ref_generators = reference_mcs_m(g)
         assert meo == ref_meo
-        assert generators == ref_generators
-        assert h == [mask_of(a) for a in ref_h]
-        # the separators decompose reads, against the old position test
+        # a generator's separator is its later neighborhood in the reference
+        # triangulation; one above the bound has too many members for a clique
+        bound = max((g.degree(v) for v in range(g.n)), default=0) + 1
         pos = {v: i for i, v in enumerate(ref_meo)}
-        later = g._full
-        for x in meo:
-            later &= ~(1 << x)
-            assert h[x] & later == mask_of(y for y in ref_h[x] if pos[y] > pos[x])
+        ref_separators = {
+            x: mask_of(y for y in ref_h[x] if pos[y] > pos[x]) for x in ref_generators
+        }
+        assert separators == {
+            x: s for x, s in ref_separators.items() if s.bit_count() <= bound
+        }
+        for x, s in ref_separators.items():
+            if x not in separators:
+                assert not _is_clique_mask(g._masks, s)
 
     def test_matches_reference_corpus(self, corpus):
         for g in corpus:
@@ -115,6 +127,14 @@ class TestMcsM:
     def test_matches_reference_larger(self):
         for g in _mcs_m_graphs():
             self._assert_matches_reference(g)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_separator_just_below_the_bound(self, k):
+        g = _near_complete(k)
+        assert _mcs_m(g)[1] == {1: mask_of(range(2, k + 2))}
+        assert [sorted(a) for a in w.decompose(g).atoms] == [
+            sorted(a) for a in brute_force_atoms(g)
+        ] == [[0, *range(2, k + 2)], [1, *range(2, k + 2)]]
 
 
 def _annotate_graphs():

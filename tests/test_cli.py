@@ -458,8 +458,12 @@ class TestGenerate:
             (["random-gnp", "10"], "random-gnp takes two parameters: n and p"),
             (["clique-reduction", "g.el"], "clique-reduction takes two parameters: a graph file and k"),
             (["cycle", "2"], "a cycle needs at least 3 vertices"),
+            (["random-gnp", "5", "1.5"], "edge probability p must lie in [0, 1], not 1.5"),
+            (["random-gnp", "5", "-0.5"], "edge probability p must lie in [0, 1], not -0.5"),
+            (["random-gnp", "5", "nan"], "edge probability p must lie in [0, 1], not nan"),
         ],
-        ids=["path", "bowtie", "random-gnp", "clique-reduction", "cycle-2"],
+        ids=["path", "bowtie", "random-gnp", "clique-reduction", "cycle-2",
+             "gnp-p-above-1", "gnp-p-negative", "gnp-p-nan"],
     )
     def test_wrong_parameters_are_2(self, argv, message):
         assert run(["generate", *argv]) == (2, "", f"error: {message}\n")

@@ -570,6 +570,25 @@ class TestGraphBasics:
         )
 
 
+class TestGnpGraph:
+    @pytest.mark.parametrize("p", [1.5, -0.5, float("nan"), float("inf")])
+    def test_rejects_p_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            w.gnp_graph(5, p)
+
+    @pytest.mark.parametrize("p", [0, 0.3, 1])
+    def test_valid_p_keeps_the_draws(self, p):
+        rng = random.Random(5)
+        edges = [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < p]
+        assert w.gnp_graph(12, p, seed=5) == Graph(12, edges)
+
+    def test_endpoints(self):
+        assert w.gnp_graph(6, 0) == Graph(6)
+        assert w.gnp_graph(6, 1) == w.complete_graph(6)
+        # the hash earlier releases print for this graph
+        assert w.gnp_graph(300, 0.5, seed=7).fingerprint() == "b2db3953155ea4b8"
+
+
 class TestConnectedComponents:
     def test_path_split(self):
         comps = connected_components(w.path_graph(4), {1})
