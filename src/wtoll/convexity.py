@@ -24,7 +24,7 @@ from .errors import CapExceededError, InternalConsistencyError
 from .graph import (
     Graph, _nonadjacent_pairs, _require_connected, bits, is_complete, max_clique, to_edge_list
 )
-from .intervals import _pair_walk_mask, is_convex
+from .intervals import _pair_walk_mask, extreme_vertices, is_convex
 from .invariants import InvariantResult
 
 __all__ = ["ReductionOutput", "wtc_exact", "clique_reduction", "reduction_edge_list"]
@@ -53,7 +53,11 @@ def wtc_exact(g: Graph, cap: int = DEFAULT_WTC_CAP) -> InvariantResult:
     one: the set a scan of ``itertools.combinations(range(n), s)`` with
     one convexity test per subset would return. :func:`_first_convex`
     finds it depth first, choosing members in increasing order and
-    cutting a prefix as soon as no completion of it can be convex.
+    cutting a prefix as soon as no completion of it can be convex. Size
+    n - 1 needs no search: V - {x} is convex iff x is extreme, and the
+    (n-1)-subsets come in order V - {n-1}, V - {n-2}, ..., so the first
+    convex one omits the largest extreme vertex (the extreme set is
+    memoized on the graph).
 
     Why the witness is the same. I(S) = S union U(S), where U(S) is the
     union of the walk masks of the nonadjacent pairs of S, so S is convex
@@ -82,7 +86,13 @@ def wtc_exact(g: Graph, cap: int = DEFAULT_WTC_CAP) -> InvariantResult:
             f"wtc on a reducible non-complete graph is NP-hard; exhaustive "
             f"search refused for n={g.n} > cap {cap}"
         )
-    for size in range(g.n - 1, 0, -1):
+    # x is extreme iff V - {x} is convex, and the first (n-1)-subset in
+    # lexicographic order that omits an extreme x omits the largest one
+    ext = extreme_vertices(g)
+    if ext:
+        witness = frozenset(range(g.n)) - {max(ext)}
+        return _checked(g, InvariantResult(g.n - 1, witness, "EXHAUSTIVE"))
+    for size in range(g.n - 2, 0, -1):
         found = _first_convex(g, size)
         if found is not None:
             return _checked(g, InvariantResult(size, frozenset(bits(found)), "EXHAUSTIVE"))

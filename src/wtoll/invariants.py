@@ -206,7 +206,8 @@ def _wth_case(g: Graph) -> InvariantResult:
         )
     excl = [mask_of(dec.exclusive[i]) for i in extremal[:2]]
     if len(extremal) >= 3:
-        return InvariantResult(2, frozenset(next(bits(e)) for e in excl), "THREE_EXTREMAL")
+        lowest = frozenset((e & -e).bit_length() - 1 for e in excl)
+        return InvariantResult(2, lowest, "THREE_EXTREMAL")
 
     shared = [mask_of(dec.shared[i]) for i in extremal]
     for e, s in zip(excl, shared):
@@ -232,7 +233,7 @@ def _wth_case(g: Graph) -> InvariantResult:
                 raise InternalConsistencyError(
                     "non-complete extremal atom has no exclusive vertex missing a shared neighbor"
                 )
-            v = next(bits(e))
+            v = (e & -e).bit_length() - 1
         choice.append(v)
     u1, u2 = choice
     e1, e2 = is_extreme_vertex(g, u1), is_extreme_vertex(g, u2)

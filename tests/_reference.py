@@ -38,6 +38,9 @@
   with one check, must return the same value, witness and case tag.
 - wtn and wth by brute force: every subset in increasing size and
   lexicographic order, the first whose interval (hull) is V.
+- The set bits of a mask by the lowest-bit loop, as a list; the
+  library's ``bits``, a stored tuple below 2^10 and a generator above,
+  must give the same positions in the same order.
 - wtc by the exhaustive scan: the COMPLETE and PRIME_MAX_CLIQUE branches,
   then every size-s subset from ``combinations`` with one convexity test
   each, for s = n - 1 down to 1; the library's pruned depth-first search
@@ -456,6 +459,15 @@ def brute_force_wth(g, cap=10):
     return _brute_force(
         g, lambda g, smask: _hull_mask(g, smask) == g._full, cap, "BRUTE_FORCE"
     )
+
+
+def reference_bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def reference_parse_edge_list(text):

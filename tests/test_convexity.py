@@ -13,6 +13,7 @@ from _reference import reference_first_convex, reference_max_clique, reference_w
 from _strategies import caterpillar, clique_chain, random_connected_gnp
 from wtoll import CapExceededError, InternalConsistencyError
 from wtoll.convexity import DEFAULT_WTC_CAP, _first_convex, reduction_edge_list
+from wtoll.graph import mask_of
 
 
 def _reducible_gnp(n, p, count, seed=0):
@@ -146,6 +147,41 @@ class TestPrunedSearch:
         for g in graphs:
             w.wtc_exact(g)
         assert time.perf_counter() - t0 < 2.0
+
+
+class TestSizeNMinusOneFromExtremeSet:
+    """``wtc_exact`` reads size n - 1 off the extreme set: the first
+    convex (n-1)-subset that ``_first_convex`` finds is V - {x} for the
+    largest extreme x, and there is none when no vertex is extreme."""
+
+    @staticmethod
+    def check(g):
+        ext = w.extreme_vertices(g)
+        want = _first_convex(g, g.n - 1)
+        assert want == (g._full & ~(1 << max(ext)) if ext else None)
+        if not w.is_complete(g) and not w.is_prime(g) and g.n <= DEFAULT_WTC_CAP:
+            res = w.wtc_exact(g)
+            assert (res.value == g.n - 1) == bool(ext)
+            if ext:
+                assert mask_of(res.witness) == want
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            if g.n >= 2 and w.is_connected(g):
+                self.check(g)
+
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_random_reducible(self, n):
+        for g in _reducible_gnp(n, 0.15 + 0.05 * (n % 6), 20, seed=7000 * n):
+            self.check(g)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 16, 40])
+    def test_paths(self, n):
+        self.check(w.path_graph(n))
+
+    @pytest.mark.parametrize("spine,legs", [(2, 1), (3, 2), (5, 2), (4, 3), (12, 2)])
+    def test_caterpillars(self, spine, legs):
+        self.check(caterpillar(spine, legs))
 
 
 class TestStackSearches:

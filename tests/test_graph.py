@@ -18,10 +18,16 @@ from wtoll.graph import (
     _g6_encode_size,
     _is_clique_mask,
     _nonadjacent_pairs,
+    bits,
     mask_of,
 )
 
-from _reference import reference_fingerprint, reference_parse_edge_list, reference_parse_graph6
+from _reference import (
+    reference_bits,
+    reference_fingerprint,
+    reference_parse_edge_list,
+    reference_parse_graph6,
+)
 from _strategies import connected_components, graphs
 
 DATA = Path(__file__).parent / "data"
@@ -706,6 +712,43 @@ class TestMaskScans:
             clique = mask_of(w.max_clique(g))
             self.check(g, clique)
             self.check(g, clique & rng.getrandbits(n))
+
+
+class TestBits:
+    """``bits`` against the lowest-bit loop: a stored tuple below 2^10, a
+    lazy generator above, the same positions in ascending order."""
+
+    def test_every_mask_below_the_table_bound_and_across_it(self):
+        assert bits(0) == ()
+        for mask in [*range(1 << 10), 1024, 1025]:
+            got = list(bits(mask))
+            assert got == reference_bits(mask) == sorted(got)
+
+    def test_random_masks_up_to_2_to_the_1200(self):
+        rng = random.Random(19)
+        for _ in range(2000):
+            mask = rng.getrandbits(rng.randint(1, 1200))
+            got = list(bits(mask))
+            assert got == reference_bits(mask)
+            assert all(a < b for a, b in zip(got, got[1:]))
+
+    def test_small_masks_give_the_same_stored_tuple(self):
+        for mask in (0, 1, 5, 1023):
+            first = bits(mask)
+            assert isinstance(first, tuple)
+            assert first == tuple(reference_bits(mask))
+            assert bits(mask) is first
+        assert not isinstance(bits(1024), tuple)
+
+    def test_callers_leave_the_stored_tuples_unchanged(self, corpus):
+        before = [tuple(bits(m)) for m in range(1 << 10)]
+        for g in corpus:
+            if g.n >= 2 and w.is_connected(g):
+                for op in (w.wtn, w.wth, w.wtc_exact, w.decompose, w.extreme_vertices):
+                    op(g)
+                w.hull(g, range(0, g.n, 2))
+        assert [bits(m) for m in range(1 << 10)] == before
+
 
 class TestBulkIOMatchesReference:
     """The bulk parsers and the fingerprint against the line loop and bit
