@@ -1,6 +1,11 @@
 """Clique-separator decomposition into maximal prime subgraphs (atoms).
 
-The pipeline is the classic one: compute a minimal elimination ordering
+Pendant vertices go first. If v has exactly one neighbour p and the graph
+has more than two vertices, {p} is a clique separator and every prime set
+holding v lies inside {v, p}, so the atoms are {v, p} and the atoms of
+G - v (the degree-one case of the rule that no atom meets two sides of a
+cut vertex); peeling repeats until no pendant vertex is left. What is
+left takes the classic pipeline: compute a minimal elimination ordering
 with MCS-M, then walk it, and whenever a vertex's later neighborhood in
 the minimal triangulation (which is never built: MCS-M records only the
 separators small enough to be cliques) is a clique of the graph that
@@ -44,10 +49,13 @@ class AtomDecomposition(NamedTuple):
 _DISCONNECTED = "clique separator decomposition needs a connected graph"
 
 
-def _mcs_m(g: Graph) -> tuple[list[int], dict[int, int]]:
+def _mcs_m(g: Graph, within: int | None = None) -> tuple[list[int], dict[int, int]]:
     """MCS-M: a minimal elimination ordering and the separators that can be cliques.
 
-    Returns (meo, separators), meo[0] eliminated first. Each step numbers
+    Runs on the subgraph induced by the vertex mask ``within`` (all of g
+    by default): only its vertices are ever in a bucket, so a neighbour
+    outside it may enter a reach mask but is never bumped, numbered or
+    reached through. Returns (meo, separators), meo[0] eliminated first. Each step numbers
     z, the least vertex of the highest non-empty weight bucket, and bumps
     each unnumbered u of weight j that z reaches through unnumbered
     vertices of weight below j (zu is then an edge of the minimal
@@ -61,15 +69,17 @@ def _mcs_m(g: Graph) -> tuple[list[int], dict[int, int]]:
     """
     n = g.n
     masks = g._masks
+    if within is None:
+        within = g._full
     bound = max(map(int.bit_count, masks), default=0) + 1
     seps = [0] * n  # seps[u]: the vertices that bumped u at a level below bound
-    buckets = [g._full] + [0] * n  # buckets[w]: the unnumbered vertices of weight w
-    unnumbered = g._full
+    buckets = [within] + [0] * n  # buckets[w]: the unnumbered vertices of weight w
+    unnumbered = within
     top = 0
     order_rev: list[int] = []
     separators: dict[int, int] = {}
     prev_weight = -1
-    for _ in range(n):
+    for _ in range(within.bit_count()):
         while not buckets[top]:
             top -= 1
         zbit = buckets[top] & -buckets[top]
@@ -122,13 +132,45 @@ def _mcs_m(g: Graph) -> tuple[list[int], dict[int, int]]:
 
 
 def _atom_masks(g: Graph) -> Iterator[int]:
-    """Yield the atoms of g as masks: each split region in the order the
-    separator walk finds it, then the remainder as the last atom."""
+    """Yield the atoms of g as masks: first one edge per pendant vertex
+    peeled, then the atoms of what is left (see :func:`_split_atoms`).
+
+    While some vertex v has exactly one neighbour p among the vertices
+    left, and more than v and p are left, {v, p} is an atom and v is
+    deleted. {p} is a clique separator, and every prime set holding v
+    lies inside {v, p}, so atoms(G) = {{v, p}} | atoms(G - v). The
+    vertices left stay connected, so while more than two are left no two
+    pendant vertices are adjacent: a vertex is pushed once, when its
+    degree among them reads 1, and still has that one neighbour when it
+    is popped. A core of one edge (or K1) is one atom; any other core,
+    the whole graph when nothing was peeled, goes to the separator walk.
+    """
     _require_connected(g, _DISCONNECTED)
     masks = g._masks
-    available = g._full
+    core = g._full
+    left = g.n
+    stack = [v for v, m in enumerate(masks) if not m & (m - 1)]
+    while stack and left > 2:
+        v = stack.pop()
+        p = (masks[v] & core).bit_length() - 1
+        yield 1 << v | 1 << p
+        core ^= 1 << v
+        left -= 1
+        if (masks[p] & core).bit_count() == 1:
+            stack.append(p)
+    if left <= 2:
+        yield core  # a single edge or vertex
+    else:
+        yield from _split_atoms(g, core)
+
+
+def _split_atoms(g: Graph, available: int) -> Iterator[int]:
+    """Yield the atoms of the connected subgraph induced by the mask
+    ``available``: each split region in the order the separator walk finds
+    it, then the remainder as the last atom."""
+    masks = g._masks
     # the generators in elimination order, as MCS-M numbers them in reverse
-    for x, sep_mask in reversed(_mcs_m(g)[1].items()):
+    for x, sep_mask in reversed(_mcs_m(g, available)[1].items()):
         if not available >> x & 1 or sep_mask & ~available:
             raise InternalConsistencyError(
                 "elimination ordering touched an already split-off vertex"
@@ -146,12 +188,16 @@ def _atom_masks(g: Graph) -> Iterator[int]:
 def decompose(g: Graph) -> AtomDecomposition:
     """The unique set of maximal prime subgraphs of a connected graph.
 
-    Atoms are returned sorted by least member. The work is one MCS-M pass
-    (a reachability pass over the weight levels per vertex), one clique
-    test and at most one component sweep per separator of at most Δ + 1
+    Atoms are returned sorted by least member. The work is one pass that
+    peels the pendant vertices, each with its neighbour as an atom (exact:
+    {v, p} is an atom of G and the other atoms are those of G - v, see
+    :func:`_atom_masks`), then on the core left over one MCS-M pass (a
+    reachability pass over the weight levels per vertex), one clique test
+    and at most one component sweep per separator of at most Δ + 1
     members, and an annotation that finds each atom's partner among the
-    atoms containing one of its shared vertices. The result is memoized
-    on the graph, so a second call returns the same object.
+    atoms containing one of its shared vertices. A tree takes no MCS-M
+    pass at all. The result is memoized on the graph, so a second call
+    returns the same object.
     """
     dec = g._derived.get("decompose")
     if dec is None:
@@ -198,8 +244,9 @@ def is_prime(g: Graph) -> bool:
     """True iff no clique of g separates g (i.e. g is its own single atom).
 
     Reads the decomposition memoized on g when :func:`decompose` has run
-    on it; otherwise stops at the first clique separator the walk finds,
-    and stores nothing."""
+    on it; otherwise stops at the first atom found, the edge of a pendant
+    vertex or the first clique separator the walk finds, and stores
+    nothing."""
     dec = g._derived.get("decompose")
     if dec is not None:
         return len(dec.atoms) == 1

@@ -63,45 +63,51 @@ def _load_graph(path: str, fmt: str) -> Graph:
     return parse_edge_list(text)
 
 
-def _set_out(command: str, s: frozenset[int]) -> tuple[dict, str]:
+def _set_out(command: str, s: frozenset[int], plain: bool) -> dict | str:
     members = sorted(s)
-    return {"set": members, "size": len(members)}, " ".join(map(str, members))
+    if plain:
+        return " ".join(map(str, members))
+    return {"set": members, "size": len(members)}
 
 
-def _invariant_out(command: str, res: InvariantResult) -> tuple[dict, str]:
+def _invariant_out(command: str, res: InvariantResult, plain: bool) -> dict | str:
     witness = sorted(res.witness)
-    payload = {"value": res.value, "witness": witness, "case_tag": res.case_tag}
-    plain = (
-        f"{command} = {res.value} (case {res.case_tag}); "
-        f"witness: {' '.join(map(str, witness))}"
-    )
-    return payload, plain
+    if plain:
+        return (
+            f"{command} = {res.value} (case {res.case_tag}); "
+            f"witness: {' '.join(map(str, witness))}"
+        )
+    return {"value": res.value, "witness": witness, "case_tag": res.case_tag}
 
 
-def _decompose_out(command: str, dec: AtomDecomposition) -> tuple[dict, str]:
+def _decompose_out(command: str, dec: AtomDecomposition, plain: bool) -> dict | str:
+    parts = zip(dec.atoms, dec.shared, dec.exclusive, dec.extremal)
+    if plain:
+        return "\n".join(
+            f"atom {i}: {{{' '.join(map(str, sorted(a)))}}}"
+            f" shared={{{' '.join(map(str, sorted(s)))}}}"
+            f"{' extremal' if x else ''}"
+            for i, (a, s, _, x) in enumerate(parts)
+        )
     atoms = [
         {"vertices": sorted(a), "shared": sorted(s), "exclusive": sorted(e), "extremal": x}
-        for a, s, e, x in zip(dec.atoms, dec.shared, dec.exclusive, dec.extremal)
+        for a, s, e, x in parts
     ]
-    plain = "\n".join(
-        f"atom {i}: {{{' '.join(map(str, a['vertices']))}}}"
-        f" shared={{{' '.join(map(str, a['shared']))}}}"
-        f"{' extremal' if a['extremal'] else ''}"
-        for i, a in enumerate(atoms)
-    )
-    return {"atoms": atoms, "count": len(atoms)}, plain
+    return {"atoms": atoms, "count": len(atoms)}
 
 
-def _twins_out(command: str, part: TwinPartition) -> tuple[dict, str]:
+def _twins_out(command: str, part: TwinPartition, plain: bool) -> dict | str:
     classes = [sorted(c) for c in part.classes]
-    plain = "\n".join(f"class {i}: {' '.join(map(str, c))}" for i, c in enumerate(classes))
-    return {"classes": classes}, plain
+    if plain:
+        return "\n".join(f"class {i}: {' '.join(map(str, c))}" for i, c in enumerate(classes))
+    return {"classes": classes}
 
 
-# command -> (help, run, out). ``run(g, args)`` names the library function
+# command -> (help, run, build). ``run(g, args)`` names the library function
 # at call time, so a function swapped into this module's globals (a tracer,
-# a test double) is the one that runs; ``out(command, result)`` returns the
-# report payload, which :func:`_run` completes with "ms", and the --plain text.
+# a test double) is the one that runs; ``build(command, result, plain)``
+# makes only the form asked for: the --plain text, or the report payload,
+# which :func:`_run` completes with "ms".
 _ANALYSES = {
     "interval": ("weakly toll interval I(S)", lambda g, a: interval(g, a.vertices), _set_out),
     "hull": ("weakly toll hull H(S)", lambda g, a: hull(g, a.vertices), _set_out),
@@ -114,27 +120,29 @@ _ANALYSES = {
 }
 
 
-def _run(command: str, g: Graph, args: argparse.Namespace) -> tuple[dict, str]:
-    """Run one analysis on g, timed: its report payload, with "ms", and
-    its --plain text."""
-    _, run, out = _ANALYSES[command]
+def _run(command: str, g: Graph, args: argparse.Namespace) -> dict | str:
+    """Run one analysis on g: its --plain text when ``args.plain`` is set,
+    else its report payload with the run's "ms"."""
+    _, run, build = _ANALYSES[command]
     t0 = time.perf_counter()
     result = run(g, args)
     ms = round((time.perf_counter() - t0) * 1000.0, 3)
-    payload, plain = out(command, result)
-    payload["ms"] = ms
-    return payload, plain
+    out = build(command, result, args.plain)
+    if not args.plain:
+        out["ms"] = ms
+    return out
 
 
 def _cmd_analysis(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
-    payload, plain = _run(args.command, g, args)
-    report = {
-        "command": args.command,
-        "input": {"n": g.n, "m": g.m, "hash": g.fingerprint()},
-        "result": payload,
-    }
-    print(plain if args.plain else json.dumps(report, sort_keys=True))
+    out = _run(args.command, g, args)
+    if not args.plain:
+        out = json.dumps({
+            "command": args.command,
+            "input": {"n": g.n, "m": g.m, "hash": g.fingerprint()},
+            "result": out,
+        }, sort_keys=True)
+    print(out)
     return 0
 
 
@@ -195,10 +203,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
         pair = next(_nonadjacent_pairs(g._masks, g._full), tuple(range(min(g.n, 2))))
-        op_args = argparse.Namespace(vertices=pair)
+        op_args = argparse.Namespace(vertices=pair, plain=False)
         for command in ("interval", "hull", "wtn", "wth"):
             try:  # on a fresh Graph, so each op starts from an empty pair memo
-                payload, _ = _run(command, Graph._from_masks(g.n, g._masks), op_args)
+                payload = _run(command, Graph._from_masks(g.n, g._masks), op_args)
             except ValueError as exc:
                 print(f"warning: {path.name} {command}: {exc}", file=sys.stderr)
                 continue

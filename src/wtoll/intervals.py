@@ -19,8 +19,9 @@ Extreme vertices need no walk masks at all. A vertex x is extreme iff
 every BFS layer L_0 = {x}, L_1 = N(x), L_2, ... of its component is a
 clique and no layer L_i (i >= 2) holds vertices u != v where v has a
 neighbor in L_{i-1} and one in L_{i+1}, both outside N(u); the proof is
-in :func:`extreme_vertices`. So each vertex costs one bitmask BFS, and
-one that is not simplicial stops at its first layer, L_1 = N(x).
+in :func:`extreme_vertices`. So each vertex costs one bitmask BFS, one
+that is not simplicial stops at its first layer, L_1 = N(x), and the
+true twins of a simplicial vertex take its verdict without a BFS.
 
 Everything here is pure. Per-pair walk masks are memoized on the Graph
 instance, which makes repeated interval/hull evaluations over overlapping
@@ -215,8 +216,9 @@ def is_convex(g: Graph, s: Iterable[int]) -> bool:
     return _interval_mask(g, smask) == smask
 
 
-def _is_extreme(masks: list[int], x: int) -> bool:
-    """The layer test of :func:`extreme_vertices` for one vertex x.
+def _is_extreme(masks: list[int], x: int) -> bool | None:
+    """The layer test of :func:`extreme_vertices` for one vertex x: None
+    when x is not simplicial, else whether x is extreme.
 
     One BFS from x over neighbor masks. It stops at the first layer that
     is not a clique (layer 1 first, so a vertex that is not simplicial
@@ -229,11 +231,12 @@ def _is_extreme(masks: list[int], x: int) -> bool:
     """
     prev, layer = 1 << x, masks[x]
     seen = prev | layer
+    fail = None  # layer 1 is N(x): failing there means x is not simplicial
     while layer:
         reach = 0
         for v in bits(layer):
             if layer & ~(masks[v] | 1 << v):
-                return False  # condition 1: the layer is not a clique
+                return fail  # condition 1: the layer is not a clique
             reach |= masks[v]
         nxt = reach & ~seen
         for v in bits(layer):
@@ -248,6 +251,7 @@ def _is_extreme(masks: list[int], x: int) -> bool:
                     return False  # condition 2: a walk u v p ... x ... p v s
         seen |= nxt
         prev, layer = layer, nxt
+        fail = False
     return True
 
 
@@ -287,14 +291,36 @@ def extreme_vertices(g: Graph) -> frozenset[int]:
     first non-clique layer (:func:`_is_extreme`). Layer 1 is N(x), so
     that first test is the simplicial test, and a vertex that is not
     simplicial fails it without a second layer. Vertices of other
-    components never reach x, so an isolated vertex is extreme. The set
+    components never reach x, so an isolated vertex is extreme.
+
+    *Twins:* a simplicial vertex x shares its verdict with its true
+    twins, the y in N(x) with N[y] = N[x]: swapping x and y is an
+    automorphism, which maps weakly toll walks onto weakly toll walks.
+    So the scan, in vertex order, runs the BFS for the first member of
+    each simplicial twin class and skips the rest; a vertex that is not
+    simplicial has no twin that is, and still stops at layer 1. The set
     is memoized on the graph, so a second call returns the same object.
     """
     ext = g._derived.get("extreme_vertices")
     if ext is None:
         masks = g._masks
-        ext = frozenset(x for x in range(g.n) if _is_extreme(masks, x))
-        g._derived["extreme_vertices"] = ext
+        found = 0
+        settled = 0  # the later twins of simplicial vertices already tested
+        for x in range(g.n):
+            if settled >> x & 1:
+                continue
+            verdict = _is_extreme(masks, x)
+            if verdict is None:
+                continue  # not simplicial
+            closed = masks[x] | 1 << x
+            twins = 1 << x
+            for y in bits(masks[x]):
+                if masks[y] | 1 << y == closed:
+                    twins |= 1 << y
+            settled |= twins
+            if verdict:
+                found |= twins
+        ext = g._derived["extreme_vertices"] = frozenset(bits(found))
     return ext
 
 
@@ -302,4 +328,4 @@ def is_extreme_vertex(g: Graph, x: int) -> bool:
     """Membership test for :func:`extreme_vertices`, with early exit: a
     vertex that is not simplicial fails at the first layer of its BFS."""
     _check_subset(g, (x,))
-    return _is_extreme(g._masks, x)
+    return bool(_is_extreme(g._masks, x))

@@ -15,6 +15,9 @@
   must return the same ordering and, for every generator whose separator
   (its later neighborhood in the triangulation) has at most Δ + 1
   members, the same separator.
+- The atoms by MCS-M and the separator walk over the whole graph, with
+  no pendant vertex peeled first; the library's decomposition must hold
+  the same atoms, and ``is_prime`` must agree with its first atom.
 - The atom annotation by the direct triple loop: for each atom, the first
   other atom whose intersection with it contains every other
   intersection; the library's annotation must return the same
@@ -54,11 +57,12 @@
 import hashlib
 from itertools import combinations
 
-from wtoll.atoms import AtomDecomposition, decompose, is_prime
+from wtoll.atoms import _DISCONNECTED as _NO_ATOMS, AtomDecomposition, _mcs_m, decompose, is_prime
 from wtoll.errors import CapExceededError, GraphParseError, InternalConsistencyError
 from wtoll.graph import (
     Graph,
     _check_subset,
+    _is_clique_mask,
     _nonadjacent_pairs,
     _require_connected,
     bits,
@@ -264,6 +268,28 @@ def _reference_mcsm_reach(adjacency, z, weight, numbered):
                     dist[x] = nd
                     buckets[nd + 1].append(x)
     return [u for u in range(n) if dist[u] < weight[u]]
+
+
+def reference_atom_masks(g):
+    """The atoms of g as masks from MCS-M and the separator walk over the
+    whole graph, pendant vertices included: each split region in the
+    order the walk finds it, then the remainder as the last atom."""
+    _require_connected(g, _NO_ATOMS)
+    masks = g._masks
+    available = g._full
+    for x, sep_mask in reversed(_mcs_m(g)[1].items()):
+        if not available >> x & 1 or sep_mask & ~available:
+            raise InternalConsistencyError(
+                "elimination ordering touched an already split-off vertex"
+            )
+        if not _is_clique_mask(masks, sep_mask):
+            continue
+        comp = component_mask(masks, available & ~sep_mask, x)
+        region = comp | sep_mask
+        if region != available:
+            yield region
+            available &= ~comp
+    yield available
 
 
 def reference_annotate(atom_masks):

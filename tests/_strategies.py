@@ -81,6 +81,14 @@ def clique_chain(count, size):
     return w.Graph(count * (size - 1) + 1, edges)
 
 
+def shuffled(g, seed):
+    """g with its vertices relabelled by a random permutation drawn from ``seed``."""
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return w.Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
 def giant_component(g):
     """The largest connected component of g (the first one on a tie),
     relabelled 0..k-1 in increasing vertex order."""

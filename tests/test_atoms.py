@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 
 import wtoll as w
-from wtoll import DisconnectedGraphError
+from wtoll import DisconnectedGraphError, atoms
 from wtoll.atoms import _mcs_m, brute_force_atoms
-from wtoll.graph import _is_clique_mask, mask_of
+from wtoll.graph import _is_clique_mask, bits, mask_of
 
-from _reference import reference_annotate, reference_mcs_m
+from _reference import reference_annotate, reference_atom_masks, reference_mcs_m
 from _strategies import (
     caterpillar,
     clique_chain,
     connected_graphs,
     giant_component,
     random_connected_gnp,
+    shuffled,
 )
 
 
@@ -128,6 +129,31 @@ class TestMcsM:
         for g in _mcs_m_graphs():
             self._assert_matches_reference(g)
 
+    def test_within_a_mask_is_the_induced_subgraph(self):
+        # the ordering is the one of the induced subgraph, relabelled in
+        # vertex order; a separator that subgraph records is recorded
+        # alike (the whole graph's larger Δ may add more, which can then
+        # be no clique of the subgraph)
+        rng = random.Random(77)
+        for g in [*_mcs_m_graphs(), *(_with_pendant_trees(clique_chain(4, 4), 9, s)
+                                      for s in range(5))]:
+            within = 0
+            for v in range(g.n):
+                if rng.random() < 0.7:
+                    within |= 1 << v
+            order = list(bits(within))
+            index = {v: i for i, v in enumerate(order)}
+            sub = w.Graph(len(order), [(index[a], index[b]) for a, b in g.edges()
+                                       if a in index and b in index])
+            meo, separators = _mcs_m(g, within)
+            sub_meo, sub_separators = _mcs_m(sub)
+            assert meo == [order[i] for i in sub_meo]
+            for x, s in sub_separators.items():
+                assert separators[order[x]] == mask_of(order[i] for i in bits(s))
+            for x, s in separators.items():
+                if index[x] not in sub_separators:
+                    assert not _is_clique_mask(g._masks, s)
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_separator_just_below_the_bound(self, k):
         g = _near_complete(k)
@@ -177,6 +203,112 @@ def test_decompose_scales_to_long_chains(g):
     elapsed = time.perf_counter() - start
     assert len(d.atoms) == g.n - 1
     assert elapsed < 3.0
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return w.Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _with_pendant_trees(core, extra, seed):
+    """``core`` with ``extra`` more vertices, each joined to one earlier
+    vertex, then relabelled: the peeled core is ``core`` again."""
+    rng = random.Random(seed)
+    n = core.n + extra
+    edges = core.edges() + [(rng.randrange(v), v) for v in range(core.n, n)]
+    return shuffled(w.Graph(n, edges), seed)
+
+
+def _peeling_graphs():
+    yield from (w.complete_graph(1), w.complete_graph(2), w.path_graph(3))
+    yield from (w.star_graph(k) for k in range(2, 9))
+    for n in (2, 3, 5, 12, 40, 150):
+        yield _random_tree(n, n)
+        yield shuffled(_random_tree(n, n), n + 1)
+    for spine, legs in ((1, 1), (2, 1), (10, 1), (30, 2), (60, 3)):
+        yield caterpillar(spine, legs)
+        yield shuffled(caterpillar(spine, legs), spine)
+    for n in (20, 60, 150, 400):
+        for seed in range(3):
+            yield giant_component(w.gnp_graph(n, 3 / n, seed=100 * n + seed))
+    for seed in range(6):
+        yield _with_pendant_trees(w.path_graph(2), 10, seed)  # peeled core: one edge
+        yield _with_pendant_trees(w.cycle_graph(3), 10, seed)  # peeled core: a triangle
+        yield _with_pendant_trees(w.cycle_graph(5), 12, seed)
+        yield _with_pendant_trees(clique_chain(4, 4), 15, seed)
+
+
+class TestPendantPeeling:
+    """Peeling pendant vertices before MCS-M against MCS-M on the whole graph."""
+
+    @staticmethod
+    def _assert_matches_reference(g):
+        ref_masks = list(reference_atom_masks(g))
+        expected = reference_annotate(sorted(ref_masks, key=lambda m: sorted(bits(m))))
+        # a fresh Graph each, so neither call reads the other's memo
+        assert w.decompose(w.Graph(g.n, g.edges())) == expected, g.edges()
+        assert w.is_prime(w.Graph(g.n, g.edges())) == (ref_masks[0] == g._full)
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            self._assert_matches_reference(g)
+
+    def test_trees_caterpillars_giants_and_small_cores(self):
+        for g in _peeling_graphs():
+            self._assert_matches_reference(g)
+
+    @pytest.mark.parametrize("g", [w.path_graph(2), _random_tree(60, 1), caterpillar(20, 2)])
+    def test_a_tree_runs_no_mcs_m(self, monkeypatch, g):
+        def no_mcs_m(g):
+            raise AssertionError("MCS-M ran on a tree")
+
+        monkeypatch.setattr(atoms, "_mcs_m", no_mcs_m)
+        assert len(w.decompose(g).atoms) == g.n - 1
+
+    def test_mcs_m_sees_only_the_core(self, monkeypatch):
+        # a 5-cycle on vertices 3..7 with a pendant path 0 - 1 - 2 at 5
+        g = w.Graph(8, [(3, 4), (4, 5), (5, 6), (6, 7), (7, 3), (5, 2), (2, 1), (1, 0)])
+        seen = []
+
+        def recording(g, within=None):
+            seen.append(within)
+            return _mcs_m(g, within)
+
+        monkeypatch.setattr(atoms, "_mcs_m", recording)
+        d = w.decompose(g)
+        assert seen == [mask_of(range(3, 8))]
+        assert sorted(map(sorted, d.atoms)) == [[0, 1], [1, 2], [2, 5], [3, 4, 5, 6, 7]]
+
+    def test_no_pendant_vertex_takes_the_whole_graph(self, monkeypatch):
+        g = clique_chain(5, 3)
+        seen = []
+
+        def recording(g, within=None):
+            seen.append(within)
+            return _mcs_m(g, within)
+
+        monkeypatch.setattr(atoms, "_mcs_m", recording)
+        w.decompose(g)
+        assert seen == [g._full]
+
+    def test_is_prime_stops_at_a_pendant_vertex(self, monkeypatch):
+        def no_mcs_m(g):
+            raise AssertionError("is_prime ran MCS-M past a pendant vertex")
+
+        monkeypatch.setattr(atoms, "_mcs_m", no_mcs_m)
+        assert not w.is_prime(_with_pendant_trees(w.cycle_graph(5), 3, 0))
+        assert w.is_prime(w.path_graph(2))
+        assert w.is_prime(w.path_graph(1))
+
+
+def test_decompose_shuffled_long_path():
+    # one atom per edge, every vertex peeled; MCS-M over the whole path took 3.3 s
+    g = shuffled(w.path_graph(5000), 5000)
+    start = time.perf_counter()
+    d = w.decompose(g)
+    elapsed = time.perf_counter() - start
+    assert len(d.atoms) == 4999
+    assert elapsed < 1.0
 
 
 def _extremal(d):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,8 @@ import pytest
 import wtoll as w
 from wtoll.cli import main
 from wtoll.oracle import oracle_membership
+
+from _strategies import caterpillar, clique_chain, giant_component, shuffled
 
 
 def run(argv, stdin=None):
@@ -190,6 +193,56 @@ def test_commands_call_the_module_globals(p4_file, monkeypatch, name, argv):
     code, _, _ = run([p4_file if a == "{p4}" else a for a in argv])
     assert code == 0
     assert calls == [name]
+
+
+class TestBothForms:
+    """Each report builder makes only the form asked for, and both forms
+    keep their bytes."""
+
+    GRAPHS = {
+        "p90": lambda: w.path_graph(90),
+        "caterpillar30": lambda: shuffled(caterpillar(30, 1), 30),
+        "k4chain15": lambda: clique_chain(15, 4),
+        "k5chain15": lambda: shuffled(clique_chain(15, 5), 15),
+        "gnp400": lambda: giant_component(w.gnp_graph(400, 4 / 400, seed=1)),
+        "gnp60": lambda: w.gnp_graph(60, 0.3, seed=2),
+        "bowtie": w.bowtie_graph,
+    }
+
+    def test_digests_of_every_report(self, tmp_path):
+        # the digests the reports had when each builder made both forms
+        json_digest, plain_digest = hashlib.sha256(), hashlib.sha256()
+        for name, make in self.GRAPHS.items():
+            g = make()
+            path = str(tmp_path / f"{name}.el")
+            Path(path).write_text(w.to_edge_list(g))
+            for argv in (["interval", path, "0", str(g.n - 1)], ["hull", path, "0", "1", "2"],
+                         ["wtn", path], ["wth", path], ["wtc", path], ["decompose", path],
+                         ["twins", path], ["extreme", path]):
+                code, out, _ = run(argv)
+                report = json.loads(out) if code == 0 else None
+                if report:
+                    report["result"].pop("ms")
+                json_digest.update(json.dumps([code, report], sort_keys=True).encode())
+                code, out, _ = run([*argv, "--plain"])
+                plain_digest.update(json.dumps([code, out]).encode())
+        assert json_digest.hexdigest() == (
+            "46a4621e6770d4f258b2d74f74ad7436eff409277c934947b4698b2be358df71"
+        )
+        assert plain_digest.hexdigest() == (
+            "5305a69cc0e6f3c8a1746eee849aea2069f973287f844621f63066072b115733"
+        )
+
+    def test_plain_skips_the_report_header(self, p4_file, monkeypatch):
+        # the input hash appears only in the JSON report
+        def no_hash(self):
+            raise AssertionError("--plain hashed the graph")
+
+        monkeypatch.setattr(w.Graph, "fingerprint", no_hash)
+        assert run(["decompose", p4_file, "--plain"])[:2] == (
+            0, "atom 0: {0 1} shared={1} extremal\natom 1: {1 2} shared={1 2}\n"
+               "atom 2: {2 3} shared={2} extremal\n"
+        )
 
 
 class TestFormatsAndInput:

@@ -6,9 +6,16 @@ import time
 import pytest
 
 import wtoll as w
+from wtoll import intervals
 
 from _reference import reference_extreme_scan
-from _strategies import caterpillar, clique_chain, clique_layer_graph, connected_components
+from _strategies import (
+    caterpillar,
+    clique_chain,
+    clique_layer_graph,
+    connected_components,
+    shuffled,
+)
 
 
 def _random_graphs():
@@ -34,6 +41,19 @@ def _families():
         clique_chain(6, 4),
         clique_chain(5, 5),
     ]
+
+
+def _blow_up(g, seed):
+    """g with each vertex replaced by a clique of 1-4 true twins, then
+    relabelled at random."""
+    rng = random.Random(seed)
+    start = [0]
+    for _ in range(g.n):
+        start.append(start[-1] + rng.randint(1, 4))
+    blocks = [range(start[v], start[v + 1]) for v in range(g.n)]
+    edges = [(a, b) for block in blocks for a in block for b in block if a < b]
+    edges += [(a, b) for u, v in g.edges() for a in blocks[u] for b in blocks[v]]
+    return shuffled(w.Graph(start[-1], edges), seed)
 
 
 def _assert_matches_reference(graphs):
@@ -66,12 +86,59 @@ class TestMatchesPairScan:
     def test_families(self):
         _assert_matches_reference(_families())
 
+    def test_shuffled_clique_chains(self):
+        chains = [clique_chain(count, size) for count, size in ((3, 3), (8, 3), (6, 4), (5, 5))]
+        _assert_matches_reference(
+            [shuffled(g, seed) for g in chains for seed in range(3)]
+        )
+
+    def test_clique_blow_ups(self, corpus):
+        # every simplicial class of twins takes one verdict
+        graphs = [_blow_up(g, i) for i, g in enumerate(corpus[::4])]
+        graphs += [_blow_up(g, i) for i, g in enumerate(_families()[:3])]
+        assert sum(bool(w.extreme_vertices(g)) for g in graphs) >= 40
+        _assert_matches_reference(graphs)
+
     def test_families_closed_forms(self):
         p40, cat, chain = w.path_graph(40), caterpillar(15, 2), clique_chain(6, 4)
         assert w.extreme_vertices(p40) == {0, 39}
         assert w.extreme_vertices(cat) == frozenset()
         # the private vertices of the two end cliques
         assert w.extreme_vertices(chain) == {0, 1, 2, 16, 17, 18}
+
+
+class TestOneLayerTestPerSimplicialTwinClass:
+    """_is_extreme runs once per vertex that is not simplicial and once per
+    distinct closed neighbourhood of the simplicial ones."""
+
+    @staticmethod
+    def _expected_calls(g):
+        masks = g._masks
+        closed = [masks[x] | 1 << x for x in range(g.n)]
+        simplicial = [w.is_clique(g, g.neighbors(x)) for x in range(g.n)]
+        return simplicial.count(False) + len({c for c, s in zip(closed, simplicial) if s})
+
+    @pytest.mark.parametrize("make", [
+        lambda: clique_chain(6, 4),
+        lambda: _blow_up(w.path_graph(12), 1),
+        lambda: _blow_up(caterpillar(6, 2), 2),
+        lambda: _blow_up(w.cycle_graph(7), 3),
+        lambda: w.complete_graph(5),
+        lambda: w.gnp_graph(40, 0.2, seed=4),
+    ])
+    def test_call_count(self, monkeypatch, make):
+        g = make()
+        calls = []
+        real = intervals._is_extreme
+
+        def counting(masks, x):
+            calls.append(x)
+            return real(masks, x)
+
+        monkeypatch.setattr(intervals, "_is_extreme", counting)
+        ext = w.extreme_vertices(g)
+        assert len(calls) == len(set(calls)) == self._expected_calls(g)
+        assert ext == reference_extreme_scan(w.Graph(g.n, g.edges()))
 
 
 def _elapsed(fn, *args):
