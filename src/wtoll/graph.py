@@ -305,10 +305,59 @@ class _VertexIds(dict):
         return v
 
 
+class _Powers(_VertexIds):
+    """``1 << v`` for the vertex id v of each distinct token, made on its
+    first lookup; refuses a token as :class:`_VertexIds` does."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: bytes) -> int:
+        v = int(token)
+        if v >= self.n:
+            raise KeyError(token)
+        bit = self[token] = 1 << v
+        return bit
+
+
+def _dense_masks(n: int, tokens: list[bytes]) -> list[int]:
+    """The neighbor masks of the edge lines ``tokens``, by rows: row u is
+    the OR of ``1 << v`` over the lines "u v", and mask v is row v OR
+    column v of the rows. Raises as the lookups do."""
+    rows = [0] * n
+    it = iter(tokens)
+    for u, bit in zip(map(_VertexIds(n).__getitem__, it), map(_Powers(n).__getitem__, it)):
+        rows[u] |= bit
+    # Row u as n binary digits holds bit v at index n - 1 - v. With the
+    # rows joined from n - 1 down to 0, the digits at n - 1 - v, 2n - 1 - v,
+    # ... are bit v of rows n - 1, n - 2, ..., 0: column v, highest first.
+    digits = "".join(map(f"{{:0{n}b}}".format, reversed(rows)))
+    return [row | int(digits[n - 1 - v::n], 2) for v, row in enumerate(rows)]
+
+
+def _masks_per_edge(n: int, ids: Iterable[int]) -> list[int]:
+    """The neighbor masks of the edges (ids[0], ids[1]), (ids[2], ids[3]), ..."""
+    masks = [0] * n
+    pairs = iter(ids)
+    for u, v in zip(pairs, pairs):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 def _parse_plain_edge_list(data: bytes) -> Graph | None:
     """Bulk parse of ASCII text with no ``_NOT_PLAIN_LINE``; None if the
     line loop must decide (no header, a vertex count over the limit, a
-    number too long for ``int``, an endpoint out of range, a self-loop)."""
+    number too long for ``int``, an endpoint out of range, a self-loop).
+
+    Dense text, with at least 32 tokens per vertex and n² at most twice
+    its length, is read by rows (:func:`_dense_masks`): one OR per edge
+    line and one transposition of the rows as binary digits, in place of
+    two shifts and two ORs per edge. The second bound keeps the powers of
+    two (at most n²/16 bytes) and the digits (about 3n² bytes) below the
+    size of the token list. Other text is read per edge, looking up each
+    distinct token from 16 tokens per vertex and converting every token
+    below that.
+    """
     tokens = data.split()  # bytes tokens are smaller than str ones
     if not tokens:
         return None
@@ -318,19 +367,20 @@ def _parse_plain_edge_list(data: bytes) -> Graph | None:
         n, _ = map(int, head)
         if n > MAX_VERTICES:
             return None
-        if len(tokens) < 16 * n:
+        if len(tokens) >= 32 * n and n * n <= 2 * len(data):
+            # the rows pay from about 24 tokens per vertex up (n = 30 to
+            # 200) and from n² at about 2.5 times the text length down
+            # (n = 300; 4 at n = 1000)
+            masks = _dense_masks(n, tokens)
+        elif len(tokens) < 16 * n:
             # under 16 tokens per vertex, converting every token costs
             # less than a lookup whose every first miss is a Python call
             ids = list(map(int, tokens))
             if max(ids, default=-1) >= n:
                 return None
+            masks = _masks_per_edge(n, ids)
         else:
-            ids = map(_VertexIds(n).__getitem__, tokens)
-        masks = [0] * n
-        pairs = iter(ids)
-        for u, v in zip(pairs, pairs):
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            masks = _masks_per_edge(n, map(_VertexIds(n).__getitem__, tokens))
     except (KeyError, ValueError):  # an endpoint out of range or too long
         return None
     if any(mask >> u & 1 for u, mask in enumerate(masks)):

@@ -2,7 +2,7 @@ import hashlib
 import random
 import time
 import tracemalloc
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from wtoll import Graph, GraphParseError
 from wtoll.graph import (
     _NOT_PLAIN_LINE,
     MAX_VERTICES,
+    _Powers,
     _is_bare_edge_list,
     _g6_encode_size,
     _is_clique_mask,
@@ -119,9 +120,10 @@ BULK_CASES = [
 
 def _with_many_tokens(text):
     """``text`` with 8n "0 1" lines after its header line, so that the
-    bulk read meets at least 16 tokens per vertex and looks each distinct
-    token up instead of converting every one; None unless the header
-    starts with an n from 2 to 100."""
+    bulk read meets at least 16 tokens per vertex, but under 32, and
+    looks each distinct token up instead of converting every one or
+    reading rows; None unless the header starts with an n from 2 to
+    100."""
     lines = text.split("\n")
     for i, line in enumerate(lines):
         parts = line.split()
@@ -133,6 +135,36 @@ def _with_many_tokens(text):
         return None
     lines[i] += "\n0 1" * (8 * int(parts[0]))
     return "\n".join(lines)
+
+
+@pytest.fixture
+def bulk_branches(monkeypatch):
+    """The branches edge-list parses take, in order: "rows" for the rows
+    and their transposition, "lookup" for one conversion per distinct
+    token, "convert" for one per token, and "lines" for the line loop,
+    which also decides what a bulk branch refuses."""
+    import wtoll.graph
+
+    taken = []
+    dense_masks, masks_per_edge = wtoll.graph._dense_masks, wtoll.graph._masks_per_edge
+    parse_lines = wtoll.graph._parse_edge_list_lines
+
+    def rows(n, tokens):
+        taken.append("rows")
+        return dense_masks(n, tokens)
+
+    def per_edge(n, ids):
+        taken.append("convert" if isinstance(ids, list) else "lookup")
+        return masks_per_edge(n, ids)
+
+    def lines(text):
+        taken.append("lines")
+        return parse_lines(text)
+
+    monkeypatch.setattr(wtoll.graph, "_dense_masks", rows)
+    monkeypatch.setattr(wtoll.graph, "_masks_per_edge", per_edge)
+    monkeypatch.setattr(wtoll.graph, "_parse_edge_list_lines", lines)
+    return taken
 
 
 class TestParseEdgeList:
@@ -183,15 +215,19 @@ class TestParseEdgeList:
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
 
     @pytest.mark.parametrize("text", BULK_CASES)
-    def test_bulk_path_matches_reference(self, text):
+    def test_bulk_path_matches_reference(self, bulk_branches, text):
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+        # below 16 tokens per vertex every token is converted; n = 0 has
+        # no vertex, so the rows read it
+        assert bulk_branches == (["rows"] if text.split()[0] == "0" else ["convert"])
 
     @pytest.mark.parametrize(
         "text",
         [t for t in map(_with_many_tokens, FALLBACK_CASES + BULK_CASES) if t is not None],
     )
-    def test_many_tokens_match_reference(self, text):
+    def test_many_tokens_match_reference(self, bulk_branches, text):
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+        assert bulk_branches in (["lines"], ["lookup"], ["lookup", "lines"])
 
     def test_shape_check_is_line_local(self):
         # a long plain file with a bad last line: the check for a bad line
@@ -308,14 +344,18 @@ class TestParseEdgeList:
 
 @st.composite
 def edge_list_layouts(draw):
-    """A graph and its edge list laid out with tabs, runs of blanks,
-    blank lines and leading zeros, each in a drawn share of the places
-    it could go (none, some or all)."""
+    """A graph and its edge list laid out with reversed lines, tabs, runs
+    of blanks, blank lines and leading zeros, each in a drawn share of the
+    places it could go (none, some or all), and the edge lines shuffled
+    in a drawn share of cases."""
     n = draw(st.integers(0, 40))
     p = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
     g = w.gnp_graph(n, p, seed=draw(st.integers(0, 10**6)))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    share = {k: draw(st.sampled_from((0.0, 0.3, 1.0))) for k in ("sep", "pad", "blank", "zero")}
+    share = {
+        k: draw(st.sampled_from((0.0, 0.3, 1.0)))
+        for k in ("flip", "shuffle", "sep", "pad", "blank", "zero")
+    }
 
     def chance(kind):
         return rng.random() < share[kind]
@@ -326,8 +366,12 @@ def edge_list_layouts(draw):
     def number(x):
         return "0" * rng.randint(1, 3) + x if chance("zero") else x
 
+    head, *edges = w.to_edge_list(g).splitlines()
+    edges = [" ".join(line.split()[::-1]) if chance("flip") else line for line in edges]
+    if chance("shuffle"):
+        rng.shuffle(edges)
     lines = []
-    for line in w.to_edge_list(g).splitlines():
+    for line in [head, *edges]:
         while chance("blank") and rng.random() < 0.5:
             lines.append(blanks() if rng.random() < 0.5 else "")
         a, b = line.split()
@@ -348,6 +392,184 @@ class TestEdgeListLayouts:
         got = w.parse_edge_list(text)
         assert got == g and got.m == g.m
         assert got.fingerprint() == g.fingerprint() == reference_fingerprint(g)
+
+
+def _first_edges(n, k):
+    """Edge list text of the first k pairs of ``combinations(range(n), 2)``."""
+    return f"{n} {k}\n" + "".join(f"{u} {v}\n" for u, v in islice(combinations(range(n), 2), k))
+
+
+def _padded(text, length):
+    """``text`` with blank lines added up to ``length`` characters."""
+    assert len(text) <= length
+    return text + "\n" * (length - len(text))
+
+
+# n = 1000 with 16,000 edge lines (32 tokens per vertex), short of n²/2
+# characters, so only the length decides
+_LONG_ROWS = "1000 16000\n" + "".join(f"{i % 1000} {(7 * i + 1) % 1000}\n" for i in range(16_000))
+
+
+class TestBulkBranches:
+    """Each bulk branch is pinned with its own inputs, on both sides of
+    each switch: rows from 32 tokens per vertex with n² at most twice the
+    text length, else a lookup per distinct token from 16 tokens per
+    vertex, else a conversion per token."""
+
+    @pytest.mark.parametrize(
+        "text, branch",
+        [
+            pytest.param(_first_edges(64, 1024), "rows", id="32n tokens"),
+            pytest.param(_first_edges(64, 1023), "lookup", id="32n - 2 tokens"),
+            pytest.param(_first_edges(64, 512), "lookup", id="16n tokens"),
+            pytest.param(_first_edges(64, 511), "convert", id="16n - 2 tokens"),
+            pytest.param(_first_edges(3, 0), "convert", id="header only"),
+            pytest.param(_padded(_LONG_ROWS, 500_000), "rows", id="n² = 2 len"),
+            pytest.param(_padded(_LONG_ROWS, 499_999), "lookup", id="n² = 2 len + 2"),
+            pytest.param("0 0\n", "rows", id="n = 0"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 16, "rows", id="n = 2, 32n tokens"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 15 + "0 1\n", "lookup", id="n = 2, 32n - 2"),
+        ],
+    )
+    def test_branch_at_each_switch(self, bulk_branches, text, branch):
+        assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+        assert bulk_branches == [branch]
+
+
+# The header and edge lines of G(40, 0.9) as written: 35 tokens per
+# vertex and n² below the text length, so the rows read it
+_HEAD, *_LINES = w.to_edge_list(w.gnp_graph(40, 0.9, seed=3)).splitlines()
+
+
+def _flipped(lines):
+    return [" ".join(line.split()[::-1]) for line in lines]
+
+
+def _shuffled(lines):
+    lines = list(lines)
+    random.Random(1).shuffle(lines)
+    return lines
+
+
+def _text(head, lines):
+    return "\n".join([head, *lines]) + "\n"
+
+
+def _with_line(k, line):
+    """The dense text with ``line`` inserted before its k-th edge line."""
+    return _text(_HEAD, _LINES[:k] + [line] + _LINES[k:])
+
+
+# Text the rows read first, valid or not; the result must be the reference's
+DENSE_CASES = {
+    "reversed": _text(_HEAD, _flipped(_LINES)),
+    "shuffled": _text(_HEAD, _shuffled(_LINES)),
+    "reversed and shuffled": _text(_HEAD, _shuffled(_flipped(_LINES))),
+    "duplicate both ways": _with_line(100, "3 5\n5 3\n3 5"),
+    "duplicate of a line": _with_line(0, _LINES[0]),
+    "self-loop": _with_line(200, "17 17"),
+    "self-loop last": _text(_HEAD, _LINES) + "39 39",
+    "second endpoint at n": _with_line(300, "3 40"),
+    "first endpoint at n": _with_line(300, "40 3"),
+    "endpoint far above n": _with_line(5, "0 123456789"),
+    "a self-loop before an endpoint at n": _with_line(10, "6 6\n0 40"),
+    "an endpoint at n before a self-loop": _with_line(10, "0 40\n6 6"),
+    "too long for int": _with_line(50, "0 " + "1" * 5000),
+    "one vertex spelled two ways": _with_line(7, "7 0\n007 1\n0007 2"),
+    "padded ids": _text(_HEAD, [" ".join("00" + x for x in line.split()) for line in _LINES]),
+    "padded id at n": _with_line(7, "0040 1"),
+    "header m too small": _text("40 5", _LINES),
+    "header m too large": _text("40 99999", _LINES),
+    "n = 0": "0 0\n",
+    "n = 0 with an edge": "0 0\n" + "0 1\n",
+    "n = 1": "1 0\n" + "0 0\n" * 16,
+    "n = 2": "2 1\n" + "0 1\n1 0\n" * 16,
+    "n = 2 with an endpoint at n": "2 1\n" + "0 1\n1 0\n" * 16 + "1 2\n",
+}
+
+
+class TestDenseBranchParity:
+    def test_powers(self):
+        powers = _Powers(8)
+        assert powers[b"7"] == powers[b"007"] == 1 << 7 and powers[b"0"] == 1
+        assert dict(powers) == {b"7": 1 << 7, b"007": 1 << 7, b"0": 1}
+        for token in (b"8", b"0008", b"123456789"):
+            with pytest.raises(KeyError):
+                powers[token]
+        with pytest.raises(ValueError):
+            powers[b"1" * 5000]
+        assert len(powers) == 3
+
+    @pytest.mark.parametrize("text", DENSE_CASES.values(), ids=DENSE_CASES.keys())
+    def test_matches_reference(self, bulk_branches, text):
+        # only the line loop names a bad line
+        error = assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+        assert bulk_branches == (["rows", "lines"] if error else ["rows"])
+
+    def test_random_dense_texts(self, bulk_branches):
+        rng = random.Random(21)
+        rows = 0
+        for _ in range(150):
+            n = rng.randint(20, 80)
+            g = w.gnp_graph(n, rng.choice((0.6, 0.8, 1.0)), seed=rng.randrange(10**6))
+            head, *lines = w.to_edge_list(g).splitlines()
+            lines = [" ".join(x.split()[::-1]) if rng.random() < 0.5 else x for x in lines]
+            lines += rng.sample(lines, rng.randint(0, 5))  # duplicates
+            if rng.random() < 0.5:
+                rng.shuffle(lines)
+            if rng.random() < 0.3:
+                u = rng.randrange(n)
+                bad = rng.choice((f"{u} {u}", f"{u} {n + rng.randrange(3)}", f"{n} {u}"))
+                lines.insert(rng.randrange(len(lines)), bad)
+            if rng.random() < 0.3:
+                lines = [" ".join("0" + x for x in line.split()) for line in lines]
+            text = _text(head, lines)
+            error = assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+            assert ("lines" in bulk_branches) == bool(error)
+            rows += bulk_branches[0] == "rows"
+            bulk_branches.clear()
+        assert rows >= 75  # most draws are read by rows
+
+
+class TestBulkReadMemory:
+    def test_sparse_text_with_a_large_n_builds_no_rows(self, monkeypatch, bulk_branches):
+        # neither the powers of two nor the transposition is made below the
+        # switch, however large n is
+        import wtoll.graph
+
+        monkeypatch.setattr(wtoll.graph, "_Powers", None)
+        text = f"{MAX_VERTICES} 3\n0 1\n1 2\n5 {MAX_VERTICES - 1}\n"
+        w.parse_edge_list(text)
+        tracemalloc.start()
+        try:
+            g = w.parse_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == MAX_VERTICES and g.m == 3
+        # the masks list and its tuple take 1.6 MB; the digits of the rows
+        # alone would take 3 * 10^10 bytes
+        assert peak < 3_000_000
+        n = 20_000
+        perm = list(range(n))
+        random.Random(1).shuffle(perm)
+        path = f"{n} {n - 1}\n" + "".join(f"{perm[i]} {perm[i + 1]}\n" for i in range(n - 1))
+        assert w.parse_edge_list(path).m == n - 1
+        assert bulk_branches == ["convert"] * 3
+
+    def test_dense_parse_peak_within_20_times_the_text(self, bulk_branches):
+        # the token list, about 12 bytes per byte of text, dominates; 14.3
+        # times the text was measured (13.1 before the rows)
+        text = w.to_edge_list(w.gnp_graph(300, 0.5, seed=1))
+        w.parse_edge_list(text)
+        tracemalloc.start()
+        try:
+            w.parse_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bulk_branches == ["rows", "rows"]
+        assert peak < 20 * len(text)
 
 
 def _row_graph(n, row, clique_from):
