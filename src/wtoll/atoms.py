@@ -131,9 +131,10 @@ def _mcs_m(g: Graph, within: int | None = None) -> tuple[list[int], dict[int, in
     return order_rev[::-1], separators
 
 
-def _atom_masks(g: Graph) -> Iterator[int]:
-    """Yield the atoms of g as masks: first one edge per pendant vertex
-    peeled, then the atoms of what is left (see :func:`_split_atoms`).
+def _atom_members(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Yield the atoms of g as ascending member tuples: first one edge per
+    pendant vertex peeled, then the atoms of what is left (see
+    :func:`_split_atoms`).
 
     While some vertex v has exactly one neighbour p among the vertices
     left, and more than v and p are left, {v, p} is an atom and v is
@@ -143,7 +144,8 @@ def _atom_masks(g: Graph) -> Iterator[int]:
     pendant vertices are adjacent: a vertex is pushed once, when its
     degree among them reads 1, and still has that one neighbour when it
     is popped. A core of one edge (or K1) is one atom; any other core,
-    the whole graph when nothing was peeled, goes to the separator walk.
+    the whole graph when nothing was peeled, goes to the separator walk,
+    whose region masks are read into tuples once each.
     """
     _require_connected(g, _DISCONNECTED)
     masks = g._masks
@@ -153,15 +155,15 @@ def _atom_masks(g: Graph) -> Iterator[int]:
     while stack and left > 2:
         v = stack.pop()
         p = (masks[v] & core).bit_length() - 1
-        yield 1 << v | 1 << p
+        yield (v, p) if v < p else (p, v)
         core ^= 1 << v
         left -= 1
         if (masks[p] & core).bit_count() == 1:
             stack.append(p)
     if left <= 2:
-        yield core  # a single edge or vertex
+        yield tuple(bits(core))  # a single edge or vertex
     else:
-        yield from _split_atoms(g, core)
+        yield from (tuple(bits(region)) for region in _split_atoms(g, core))
 
 
 def _split_atoms(g: Graph, available: int) -> Iterator[int]:
@@ -188,53 +190,42 @@ def _split_atoms(g: Graph, available: int) -> Iterator[int]:
 def decompose(g: Graph) -> AtomDecomposition:
     """The unique set of maximal prime subgraphs of a connected graph.
 
-    Atoms are returned sorted by least member. The work is one pass that
-    peels the pendant vertices, each with its neighbour as an atom (exact:
-    {v, p} is an atom of G and the other atoms are those of G - v, see
-    :func:`_atom_masks`), then on the core left over one MCS-M pass (a
-    reachability pass over the weight levels per vertex), one clique test
-    and at most one component sweep per separator of at most Δ + 1
-    members, and an annotation that finds each atom's partner among the
-    atoms containing one of its shared vertices. A tree takes no MCS-M
-    pass at all. The result is memoized on the graph, so a second call
-    returns the same object.
+    Atoms are returned sorted by their ascending member tuples, as
+    :func:`_atom_members` yields them (a peeled edge is never an n-bit
+    mask). The work is one pass that peels the pendant vertices, each
+    with its neighbour as an atom (exact: {v, p} is an atom of G and the
+    other atoms are those of G - v), then on the core left over one MCS-M
+    pass (a reachability pass over the weight levels per vertex), one
+    clique test and at most one component sweep per separator of at most
+    Δ + 1 members, and an annotation that finds each atom's partner among
+    the atoms containing one of its shared vertices. A tree takes no
+    MCS-M pass at all. The result is memoized on the graph, so a second
+    call returns the same object.
     """
     dec = g._derived.get("decompose")
     if dec is None:
-        pieces = sorted(_atom_masks(g), key=lambda m: sorted(bits(m)))
-        dec = g._derived["decompose"] = _annotate(pieces)
+        dec = g._derived["decompose"] = _annotate(sorted(_atom_members(g)))
     return dec
 
 
-def _annotate(atom_masks: list[int]) -> AtomDecomposition:
-    in_two = 0
-    seen = 0
-    for m in atom_masks:
-        in_two |= seen & m
-        seen |= m
-    shared_masks = [m & in_two for m in atom_masks]
-    # a shared vertex's atoms, ascending; an atom j dominates every
+def _annotate(members: list[tuple[int, ...]]) -> AtomDecomposition:
+    # each vertex's atoms, ascending; an atom j dominates every
     # intersection of atom i iff it contains shared[i], the union of them
     containing: dict[int, list[int]] = {}
-    for t, s in enumerate(shared_masks):
-        for v in bits(s):
+    for t, atom in enumerate(members):
+        for v in atom:
             containing.setdefault(v, []).append(t)
+    atoms = tuple(map(frozenset, members))
+    shared = tuple(frozenset([v for v in a if len(containing[v]) > 1]) for a in members)
     partner: list[int | None] = []
-    for i, s in enumerate(shared_masks):
+    for i, s in enumerate(shared):
         # shared[i] is empty only when the graph is a single atom
-        candidates = min((containing[v] for v in bits(s)), key=len, default=())
-        partner.append(
-            next(
-                (j for j in candidates if j != i and not s & ~atom_masks[j]),
-                None,
-            )
-        )
+        candidates = min((containing[v] for v in s), key=len, default=())
+        partner.append(next((j for j in candidates if j != i and s <= atoms[j]), None))
     return AtomDecomposition(
-        atoms=tuple(frozenset(bits(m)) for m in atom_masks),
-        shared=tuple(frozenset(bits(m)) for m in shared_masks),
-        exclusive=tuple(
-            frozenset(bits(a & ~s)) for a, s in zip(atom_masks, shared_masks)
-        ),
+        atoms=atoms,
+        shared=shared,
+        exclusive=tuple(a - s for a, s in zip(atoms, shared)),
         extremal=tuple(j is not None for j in partner),
         partner=tuple(partner),
     )
@@ -250,7 +241,7 @@ def is_prime(g: Graph) -> bool:
     dec = g._derived.get("decompose")
     if dec is not None:
         return len(dec.atoms) == 1
-    return next(_atom_masks(g)) == g._full
+    return len(next(_atom_members(g))) == g.n
 
 
 def brute_force_atoms(g: Graph, cap: int = 12) -> list[frozenset[int]]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import wtoll as w
-from wtoll import DisconnectedGraphError, atoms
+from wtoll import DisconnectedGraphError, atoms, graph
 from wtoll.atoms import _mcs_m, brute_force_atoms
 from wtoll.graph import _is_clique_mask, bits, mask_of
 
@@ -309,6 +309,27 @@ def test_decompose_shuffled_long_path():
     elapsed = time.perf_counter() - start
     assert len(d.atoms) == 4999
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [shuffled(w.path_graph(2000), 2000), caterpillar(700, 2)],
+    ids=["shuffled_path2000", "caterpillar700x2"],
+)
+def test_decompose_reads_no_peeled_atom_as_a_mask(monkeypatch, g):
+    # a peeled atom is a member pair, not an n-bit mask to walk; only the
+    # final core (one edge) is read off a mask wider than the lookup table
+    g = w.Graph(g.n, g.edges())
+    walk = graph._bits_from
+    calls = []
+
+    def counting(mask):
+        calls.append(mask)
+        return walk(mask)
+
+    monkeypatch.setattr(graph, "_bits_from", counting)
+    assert len(w.decompose(g).atoms) == g.n - 1
+    assert len(calls) <= 1
 
 
 def _extremal(d):

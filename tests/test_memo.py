@@ -93,7 +93,7 @@ class TestIsPrime:
         def no_walk(g):
             raise AssertionError("is_prime walked the elimination ordering again")
 
-        monkeypatch.setattr(atoms, "_atom_masks", no_walk)
+        monkeypatch.setattr(atoms, "_atom_members", no_walk)
         assert w.is_prime(g) is False
 
     def test_disconnected_still_refused(self):
