@@ -49,11 +49,11 @@ class AtomDecomposition(NamedTuple):
 _DISCONNECTED = "clique separator decomposition needs a connected graph"
 
 
-def _mcs_m(g: Graph, within: int | None = None) -> tuple[list[int], dict[int, int]]:
+def _mcs_m(g: Graph, within: int) -> tuple[list[int], dict[int, int]]:
     """MCS-M: a minimal elimination ordering and the separators that can be cliques.
 
-    Runs on the subgraph induced by the vertex mask ``within`` (all of g
-    by default): only its vertices are ever in a bucket, so a neighbour
+    Runs on the subgraph induced by the vertex mask ``within`` (``g._full``
+    for all of g): only its vertices are ever in a bucket, so a neighbour
     outside it may enter a reach mask but is never bumped, numbered or
     reached through. Returns (meo, separators), meo[0] eliminated first. Each step numbers
     z, the least vertex of the highest non-empty weight bucket, and bumps
@@ -69,8 +69,6 @@ def _mcs_m(g: Graph, within: int | None = None) -> tuple[list[int], dict[int, in
     """
     n = g.n
     masks = g._masks
-    if within is None:
-        within = g._full
     bound = max(map(int.bit_count, masks), default=0) + 1
     seps = [0] * n  # seps[u]: the vertices that bumped u at a level below bound
     buckets = [within] + [0] * n  # buckets[w]: the unnumbered vertices of weight w
@@ -133,8 +131,8 @@ def _mcs_m(g: Graph, within: int | None = None) -> tuple[list[int], dict[int, in
 
 def _atom_members(g: Graph) -> Iterator[tuple[int, ...]]:
     """Yield the atoms of g as ascending member tuples: first one edge per
-    pendant vertex peeled, then the atoms of what is left (see
-    :func:`_split_atoms`).
+    pendant vertex peeled, then each region the separator walk splits off
+    the core, in the order it finds them, and last the core that is left.
 
     While some vertex v has exactly one neighbour p among the vertices
     left, and more than v and p are left, {v, p} is an atom and v is
@@ -143,9 +141,9 @@ def _atom_members(g: Graph) -> Iterator[tuple[int, ...]]:
     vertices left stay connected, so while more than two are left no two
     pendant vertices are adjacent: a vertex is pushed once, when its
     degree among them reads 1, and still has that one neighbour when it
-    is popped. A core of one edge (or K1) is one atom; any other core,
-    the whole graph when nothing was peeled, goes to the separator walk,
-    whose region masks are read into tuples once each.
+    is popped. A core of more than two vertices, the whole graph when
+    nothing was peeled, takes the separator walk over MCS-M's generators
+    in elimination order; a core of one edge (or K1) is one atom as it is.
     """
     _require_connected(g, _DISCONNECTED)
     masks = g._masks
@@ -160,31 +158,21 @@ def _atom_members(g: Graph) -> Iterator[tuple[int, ...]]:
         left -= 1
         if (masks[p] & core).bit_count() == 1:
             stack.append(p)
-    if left <= 2:
-        yield tuple(bits(core))  # a single edge or vertex
-    else:
-        yield from (tuple(bits(region)) for region in _split_atoms(g, core))
-
-
-def _split_atoms(g: Graph, available: int) -> Iterator[int]:
-    """Yield the atoms of the connected subgraph induced by the mask
-    ``available``: each split region in the order the separator walk finds
-    it, then the remainder as the last atom."""
-    masks = g._masks
-    # the generators in elimination order, as MCS-M numbers them in reverse
-    for x, sep_mask in reversed(_mcs_m(g, available)[1].items()):
-        if not available >> x & 1 or sep_mask & ~available:
-            raise InternalConsistencyError(
-                "elimination ordering touched an already split-off vertex"
-            )
-        if not _is_clique_mask(masks, sep_mask):
-            continue  # a minimal separator of the triangulation, not a clique in g
-        comp = component_mask(masks, available & ~sep_mask, x)
-        region = comp | sep_mask
-        if region != available:
-            yield region
-            available &= ~comp
-    yield available
+    if left > 2:
+        # the generators in elimination order, as MCS-M numbers them in reverse
+        for x, sep_mask in reversed(_mcs_m(g, core)[1].items()):
+            if not core >> x & 1 or sep_mask & ~core:
+                raise InternalConsistencyError(
+                    "elimination ordering touched an already split-off vertex"
+                )
+            if not _is_clique_mask(masks, sep_mask):
+                continue  # a minimal separator of the triangulation, not a clique in g
+            comp = component_mask(masks, core & ~sep_mask, x)
+            region = comp | sep_mask
+            if region != core:
+                yield tuple(bits(region))
+                core &= ~comp
+    yield tuple(bits(core))
 
 
 def decompose(g: Graph) -> AtomDecomposition:

@@ -55,11 +55,9 @@ def _load_graph(path: str, fmt: str) -> Graph:
         fmt = "g6" if path.endswith(".g6") else "el"
     if fmt == "g6":
         lines = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
-        if not lines:
-            raise GraphParseError("empty graph6 input")
         if len(lines) > 1:
             raise GraphParseError("second graph; a graph6 input holds one graph", lines[1][0])
-        return parse_graph6(lines[0][1])
+        return parse_graph6(lines[0][1] if lines else "")
     return parse_edge_list(text)
 
 

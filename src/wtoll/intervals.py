@@ -226,8 +226,8 @@ def _is_extreme(masks: list[int], x: int) -> bool | None:
     the vertices u of L_i with a neighbor p of v in L_{i-1} outside N(u)
     are L_i minus the intersection of those N(p), which never holds v;
     likewise upwards; x fails iff the two sets meet. At i = 1 they never
-    do, as L_1 lies in N(x). So each layer costs one pass over the edges
-    leaving it, and no pair walk mask is made.
+    do, as L_1 lies in N(x), so layer 1 skips that test. Each layer costs
+    one pass over the edges leaving it, and no pair walk mask is made.
     """
     prev, layer = 1 << x, masks[x]
     seen = prev | layer
@@ -239,16 +239,17 @@ def _is_extreme(masks: list[int], x: int) -> bool | None:
                 return fail  # condition 1: the layer is not a clique
             reach |= masks[v]
         nxt = reach & ~seen
-        for v in bits(layer):
-            far_down = 0
-            for p in bits(masks[v] & prev):
-                far_down |= layer & ~masks[p]
-            if far_down:
-                far_up = 0
-                for s in bits(masks[v] & nxt):
-                    far_up |= layer & ~masks[s]
-                if far_down & far_up:
-                    return False  # condition 2: a walk u v p ... x ... p v s
+        if fail is False:  # past layer 1, which lies in N(x)
+            for v in bits(layer):
+                far_down = 0
+                for p in bits(masks[v] & prev):
+                    far_down |= layer & ~masks[p]
+                if far_down:
+                    far_up = 0
+                    for s in bits(masks[v] & nxt):
+                        far_up |= layer & ~masks[s]
+                    if far_down & far_up:
+                        return False  # condition 2: a walk u v p ... x ... p v s
         seen |= nxt
         prev, layer = layer, nxt
         fail = False

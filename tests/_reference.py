@@ -277,7 +277,7 @@ def reference_atom_masks(g):
     _require_connected(g, _NO_ATOMS)
     masks = g._masks
     available = g._full
-    for x, sep_mask in reversed(_mcs_m(g)[1].items()):
+    for x, sep_mask in reversed(_mcs_m(g, g._full)[1].items()):
         if not available >> x & 1 or sep_mask & ~available:
             raise InternalConsistencyError(
                 "elimination ordering touched an already split-off vertex"

@@ -141,6 +141,27 @@ class TestOneLayerTestPerSimplicialTwinClass:
         assert ext == reference_extreme_scan(w.Graph(g.n, g.edges()))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: w.star_graph(6),
+    lambda: w.path_graph(7),
+    lambda: clique_chain(4, 4),
+    lambda: caterpillar(5, 2),
+    lambda: w.complete_graph(5),
+    w.bowtie_graph,
+], ids=["star6", "path7", "k4chain4", "caterpillar5", "k5", "bowtie"])
+def test_layer_1_skips_condition_2(monkeypatch, make):
+    # condition 2 on layer 1 would read each vertex's neighbours in L_0,
+    # the mask 1 << x; L_1 lies in N(x), so it cannot fail there
+    g = make()
+    real = intervals.bits
+    read = []
+    monkeypatch.setattr(intervals, "bits", lambda m: read.append(m) or real(m))
+    for x in range(g.n):
+        read.clear()
+        intervals._is_extreme(g._masks, x)
+        assert 1 << x not in read, x
+
+
 def _elapsed(fn, *args):
     start = time.perf_counter()
     fn(*args)
