@@ -61,6 +61,12 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], dict[int, int]]:
     vertices of weight below j (zu is then an edge of the minimal
     triangulation), in one pass over the non-empty levels j = 0, 1, ...
     that stops growing the reach once it touches every vertex above j.
+    A closure round visits its frontier highest bit first (no negation per
+    visit) and ORs each visited neighbourhood into ``near``, so the round
+    ends with the same ``near`` in any order. ``seen`` = near & above,
+    recomputed only after a closure grows ``near``, tests both stops: the
+    pass ends when it is empty and moves every level above j up whole
+    when it equals ``above``.
     When the selected weight fails to exceed the previous one, z is a
     generator, and the vertices that bumped it form a minimal separator. A
     clique has at most bound = Δ + 1 members, so bumps are recorded only
@@ -89,6 +95,7 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], dict[int, int]]:
         prev_weight = top
         near = masks[z]  # N(z) | N(the vertices reached so far)
         above = unnumbered  # the unnumbered vertices of weight > j
+        seen = near & above  # kept equal to near & above
         pending = 0  # the unnumbered vertices of weight <= j not yet reached
         bumped = 0  # the qualifying vertices of weight j, moving to bucket j + 1
         for j in range(top + 1):
@@ -105,17 +112,19 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], dict[int, int]]:
             if not above:
                 break
             pending |= level
-            frontier = hit  # near & pending, as the reach is closed below j
-            while frontier:
-                pending ^= frontier
+            if hit:  # else near is unchanged and level held nothing of seen
+                frontier = hit  # near & pending, as the reach is closed below j
                 while frontier:
-                    low = frontier & -frontier
-                    near |= masks[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = near & pending
-            if not near & above:
+                    pending ^= frontier
+                    while frontier:
+                        v = frontier.bit_length() - 1
+                        near |= masks[v]
+                        frontier ^= 1 << v
+                    frontier = near & pending
+                seen = near & above
+            if not seen:
                 break
-            if not above & ~near:  # every level above j moves up whole
+            if seen == above:  # every level above j moves up whole
                 for k in range(j + 1, min(top + 1, bound)):
                     for u in bits(buckets[k]):
                         seps[u] |= zbit
@@ -239,33 +248,23 @@ def brute_force_atoms(g: Graph, cap: int = 12) -> list[frozenset[int]]:
     if g.n > cap:
         raise CapExceededError(f"atom enumeration refused: n={g.n} exceeds cap {cap}")
     masks = g._masks
-    n = g.n
 
-    def connected_mask(a: int) -> bool:
-        start = (a & -a).bit_length() - 1
-        return component_mask(masks, a, start) == a
+    def connected(a: int) -> bool:
+        return component_mask(masks, a, (a & -a).bit_length() - 1) == a
 
-    def prime_mask(a: int) -> bool:
+    def prime(a: int) -> bool:
         # reducible iff some proper clique submask disconnects the rest
         c = (a - 1) & a
         while c:
-            rest = a & ~c
-            if rest and _is_clique_mask(masks, c):
-                start = (rest & -rest).bit_length() - 1
-                if component_mask(masks, rest, start) != rest:
-                    return False
+            if _is_clique_mask(masks, c) and not connected(a & ~c):
+                return False
             c = (c - 1) & a
         return True
 
-    prime_sets = [
-        a
-        for a in range(1, 1 << n)
-        if connected_mask(a) and prime_mask(a)
-    ]
-    prime_sets.sort(key=lambda a: -bin(a).count("1"))
+    # largest first, so a prime set inside a larger one is met after it
     maximal: list[int] = []
-    for a in prime_sets:
-        if not any(a & m == a for m in maximal):
+    for a in sorted(range(1, 1 << g.n), key=lambda a: -a.bit_count()):
+        if not any(a & m == a for m in maximal) and connected(a) and prime(a):
             maximal.append(a)
     maximal.sort(key=lambda m: sorted(bits(m)))
     return [frozenset(bits(m)) for m in maximal]

@@ -3,14 +3,16 @@
 Adjacency is stored once, as one int neighbor mask per vertex (bit i =
 vertex i), so neighborhood and component operations reduce to
 word-parallel integer arithmetic. Neighbor sets, degrees and edge lists
-are read off the masks on demand. All functions here are pure. A Graph's
-adjacency never changes after construction, so what is computed from it
-can be kept on it. It has two mutable slots, both memos: ``_pair_cache``,
-filled by :mod:`wtoll.intervals`, holds at most one walk mask per
-nonadjacent pair, and ``_derived`` holds at most one entry per kind of
-whole-graph result, the atom decomposition (:func:`wtoll.atoms.decompose`)
-and the extreme set (:func:`wtoll.intervals.extreme_vertices`), both
-immutable values.
+are read off the masks on demand. A Graph's adjacency never changes
+after construction, so what is computed from it can be kept on it. It
+has three mutable slots, all memos: ``_pair_cache``, filled by
+:mod:`wtoll.intervals`, holds at most one walk mask per nonadjacent pair,
+``_derived`` holds at most one entry per kind of whole-graph result, the
+atom decomposition (:func:`wtoll.atoms.decompose`) and the extreme set
+(:func:`wtoll.intervals.extreme_vertices`), both immutable values, and
+``_connected`` is set by ``_require_connected`` once the graph has passed
+it, so the functions defined only on connected graphs search it once
+between them. Every other function here is pure.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ _BINARY_DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
 class Graph:
     """Finite simple undirected graph with vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "_masks", "_full", "_pair_cache", "_derived")
+    __slots__ = ("n", "m", "_masks", "_full", "_pair_cache", "_derived", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -148,6 +150,8 @@ class Graph:
         # "decompose" to its AtomDecomposition, "extreme_vertices" to its
         # frozenset
         self._derived: dict[str, object] = {}
+        # set by _require_connected once the graph has passed its test
+        self._connected = False
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(bits(self._masks[v]))
@@ -548,9 +552,15 @@ def is_connected(g: Graph) -> bool:
 
 
 def _require_connected(g: Graph, message: str) -> None:
-    """Raise DisconnectedGraphError(message) unless g is nonempty and connected."""
-    if g.n == 0 or not is_connected(g):
-        raise DisconnectedGraphError(message)
+    """Raise DisconnectedGraphError(message) unless g is nonempty and connected.
+
+    A graph that passes is marked, so a solver and the decomposition, twin
+    or primality test it calls next search it once between them.
+    """
+    if not g._connected:
+        if g.n == 0 or not is_connected(g):
+            raise DisconnectedGraphError(message)
+        g._connected = True
 
 
 def _is_clique_mask(masks: Sequence[int], m: int) -> bool:

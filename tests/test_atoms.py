@@ -163,6 +163,32 @@ class TestMcsM:
         ] == [[0, *range(2, k + 2)], [1, *range(2, k + 2)]]
 
 
+class _CountingMasks(tuple):
+    """A neighbour-mask tuple that counts its indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize(
+    ("g", "reads"),
+    [(giant_component(w.gnp_graph(1000, 4 / 1000, seed=1000)), 311_626),
+     (clique_chain(100, 4), 301)],
+    ids=["gnp1000_giant", "clique_chain100x4"],
+)
+def test_mcs_m_mask_reads_are_pinned(monkeypatch, g, reads):
+    # one read per numbered vertex and one per reach visit: a change to the
+    # reach that visits more or fewer vertices has to update these numbers
+    g = w.Graph(g.n, g.edges())
+    g._masks = _CountingMasks(g._masks)
+    monkeypatch.setattr(_CountingMasks, "reads", 0)
+    _mcs_m(g, g._full)
+    assert _CountingMasks.reads == reads
+
+
 def _annotate_graphs():
     rng = random.Random(2004)
     for _ in range(200):

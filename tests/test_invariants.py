@@ -4,7 +4,7 @@ import time
 import pytest
 
 import wtoll as w
-from wtoll import CapExceededError, DisconnectedGraphError, InternalConsistencyError
+from wtoll import CapExceededError, DisconnectedGraphError, InternalConsistencyError, graph
 from wtoll.oracle import oracle_interval
 
 from _reference import (
@@ -338,3 +338,23 @@ class TestBruteForce:
     def test_witness_minimal_and_lexicographic(self):
         res = brute_force_wtn(w.path_graph(5))
         assert res.witness == {0, 4}
+
+
+@pytest.mark.parametrize("g", [w.path_graph(30), w.cycle_graph(7)], ids=["P30", "C7"])
+@pytest.mark.parametrize(
+    "invariant", [w.wtn, w.wth, lambda g: w.wtc_exact(g, cap=g.n)], ids=["wtn", "wth", "wtc"]
+)
+def test_one_connectivity_test_per_call(monkeypatch, g, invariant):
+    # the solver's own test marks the graph connected, so the twin
+    # classes, the decomposition or the primality test it calls next run
+    # no second search
+    connected = graph.is_connected
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return connected(g)
+
+    monkeypatch.setattr(graph, "is_connected", counting)
+    invariant(w.Graph(g.n, g.edges()))
+    assert len(calls) == 1
