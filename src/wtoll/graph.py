@@ -286,50 +286,23 @@ def parse_edge_list(text: str) -> Graph:
     return _parse_edge_list_lines(text)
 
 
-class _VertexIds(dict):
-    """Vertex id of each distinct token, converted on its first lookup.
-
-    A token at or above ``n`` raises ``KeyError``, and one too long for
-    ``int`` raises ``ValueError``. Only the tokens looked up are
-    converted, never a table of all n names, so a header-only file with a
-    large ``n`` costs nothing here.
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, token: bytes) -> int:
-        v = int(token)
-        if v >= self.n:
-            raise KeyError(token)
-        self[token] = v
-        return v
-
-
-class _Powers(_VertexIds):
-    """``1 << v`` for the vertex id v of each distinct token, made on its
-    first lookup; refuses a token as :class:`_VertexIds` does."""
-
-    __slots__ = ()
-
-    def __missing__(self, token: bytes) -> int:
-        v = int(token)
-        if v >= self.n:
-            raise KeyError(token)
-        bit = self[token] = 1 << v
-        return bit
+def _vertex_ids(n: int) -> dict[bytes, int]:
+    """The vertex of each decimal name ``b"0"`` ... ``b"n-1"``, built with
+    no Python call per entry; any other token (zero-padded, ≥ n) is missing."""
+    return dict(zip(map(b"%d".__mod__, range(n)), range(n)))
 
 
 def _dense_masks(n: int, tokens: list[bytes]) -> list[int]:
     """The neighbor masks of the edge lines ``tokens``, by rows: row u is
     the OR of ``1 << v`` over the lines "u v", and mask v is row v OR
-    column v of the rows. Raises as the lookups do."""
+    column v of the rows. Tokens are looked up in two tables made once,
+    ``ids`` and ``powers`` (``1 << v``); a token that is not a vertex name
+    as written, such as ``b"007"``, raises ``KeyError``."""
+    ids = _vertex_ids(n)
+    powers = dict(zip(ids, map((1).__lshift__, range(n))))
     rows = [0] * n
     it = iter(tokens)
-    for u, bit in zip(map(_VertexIds(n).__getitem__, it), map(_Powers(n).__getitem__, it)):
+    for u, bit in zip(map(ids.__getitem__, it), map(powers.__getitem__, it)):
         rows[u] |= bit
     # Row u as n binary digits holds bit v at index n - 1 - v. With the
     # rows joined from n - 1 down to 0, the digits at n - 1 - v, 2n - 1 - v,
@@ -358,9 +331,11 @@ def _parse_plain_edge_list(data: bytes) -> Graph | None:
     line and one transposition of the rows as binary digits, in place of
     two shifts and two ORs per edge. The second bound keeps the powers of
     two (at most n²/16 bytes) and the digits (about 3n² bytes) below the
-    size of the token list. Other text is read per edge, looking up each
-    distinct token from 16 tokens per vertex and converting every token
-    below that.
+    size of the token list. Other text is read per edge, looking each
+    token up in :func:`_vertex_ids` from 16 tokens per vertex and
+    converting every token below that. The tables know each id only as
+    :func:`to_edge_list` writes it, so from 16 tokens per vertex a
+    zero-padded id sends the text to the line loop.
     """
     tokens = data.split()  # bytes tokens are smaller than str ones
     if not tokens:
@@ -377,15 +352,15 @@ def _parse_plain_edge_list(data: bytes) -> Graph | None:
             # (n = 300; 4 at n = 1000)
             masks = _dense_masks(n, tokens)
         elif len(tokens) < 16 * n:
-            # under 16 tokens per vertex, converting every token costs
-            # less than a lookup whose every first miss is a Python call
+            # under 16 tokens per vertex every token is converted, so a
+            # sparse file with a large n builds no table of n names
             ids = list(map(int, tokens))
             if max(ids, default=-1) >= n:
                 return None
             masks = _masks_per_edge(n, ids)
         else:
-            masks = _masks_per_edge(n, map(_VertexIds(n).__getitem__, tokens))
-    except (KeyError, ValueError):  # an endpoint out of range or too long
+            masks = _masks_per_edge(n, map(_vertex_ids(n).__getitem__, tokens))
+    except (KeyError, ValueError):  # not a vertex name, or too long
         return None
     if any(mask >> u & 1 for u, mask in enumerate(masks)):
         return None  # a self-loop

@@ -14,7 +14,6 @@ from wtoll import Graph, GraphParseError
 from wtoll.graph import (
     _NOT_PLAIN_LINE,
     MAX_VERTICES,
-    _Powers,
     _is_bare_edge_list,
     _g6_encode_size,
     _is_clique_mask,
@@ -140,9 +139,9 @@ def _with_many_tokens(text):
 @pytest.fixture
 def bulk_branches(monkeypatch):
     """The branches edge-list parses take, in order: "rows" for the rows
-    and their transposition, "lookup" for one conversion per distinct
-    token, "convert" for one per token, and "lines" for the line loop,
-    which also decides what a bulk branch refuses."""
+    and their transposition, "lookup" for a table lookup per token,
+    "convert" for one conversion per token, and "lines" for the line
+    loop, which also decides what a bulk branch refuses."""
     import wtoll.graph
 
     taken = []
@@ -326,8 +325,8 @@ class TestParseEdgeList:
         assert _is_bare_edge_list(text.encode()) is bare
 
     def test_header_only_file_allocates_no_name_table(self):
-        # the lookup converts only the tokens it meets, so a header-only
-        # file with the largest n holds no table of n vertex names
+        # a header-only file is below 16 tokens per vertex, so every token
+        # is converted and no table of n vertex names is built
         text = f"{MAX_VERTICES} 0\n"
         w.parse_edge_list(text)
         tracemalloc.start()
@@ -413,8 +412,8 @@ _LONG_ROWS = "1000 16000\n" + "".join(f"{i % 1000} {(7 * i + 1) % 1000}\n" for i
 class TestBulkBranches:
     """Each bulk branch is pinned with its own inputs, on both sides of
     each switch: rows from 32 tokens per vertex with n² at most twice the
-    text length, else a lookup per distinct token from 16 tokens per
-    vertex, else a conversion per token."""
+    text length, else a table lookup per token from 16 tokens per vertex,
+    else a conversion per token."""
 
     @pytest.mark.parametrize(
         "text, branch",
@@ -455,6 +454,12 @@ def _text(head, lines):
     return "\n".join([head, *lines]) + "\n"
 
 
+def _padded_id(text):
+    """True iff an edge line of ``text`` spells an id with a leading zero,
+    which the tables of vertex names leave to the line loop."""
+    return any(len(t) > 1 and t.startswith("0") for t in text.split()[2:])
+
+
 def _with_line(k, line):
     """The dense text with ``line`` inserted before its k-th edge line."""
     return _text(_HEAD, _LINES[:k] + [line] + _LINES[k:])
@@ -489,22 +494,11 @@ DENSE_CASES = {
 
 
 class TestDenseBranchParity:
-    def test_powers(self):
-        powers = _Powers(8)
-        assert powers[b"7"] == powers[b"007"] == 1 << 7 and powers[b"0"] == 1
-        assert dict(powers) == {b"7": 1 << 7, b"007": 1 << 7, b"0": 1}
-        for token in (b"8", b"0008", b"123456789"):
-            with pytest.raises(KeyError):
-                powers[token]
-        with pytest.raises(ValueError):
-            powers[b"1" * 5000]
-        assert len(powers) == 3
-
     @pytest.mark.parametrize("text", DENSE_CASES.values(), ids=DENSE_CASES.keys())
     def test_matches_reference(self, bulk_branches, text):
-        # only the line loop names a bad line
+        # only the line loop names a bad line or reads a padded id
         error = assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
-        assert bulk_branches == (["rows", "lines"] if error else ["rows"])
+        assert bulk_branches == (["rows", "lines"] if error or _padded_id(text) else ["rows"])
 
     def test_random_dense_texts(self, bulk_branches):
         rng = random.Random(21)
@@ -521,23 +515,59 @@ class TestDenseBranchParity:
                 u = rng.randrange(n)
                 bad = rng.choice((f"{u} {u}", f"{u} {n + rng.randrange(3)}", f"{n} {u}"))
                 lines.insert(rng.randrange(len(lines)), bad)
-            if rng.random() < 0.3:
+            padded = rng.random() < 0.3
+            if padded:
                 lines = [" ".join("0" + x for x in line.split()) for line in lines]
             text = _text(head, lines)
             error = assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
-            assert ("lines" in bulk_branches) == bool(error)
+            assert ("lines" in bulk_branches) == (bool(error) or padded)
             rows += bulk_branches[0] == "rows"
             bulk_branches.clear()
         assert rows >= 75  # most draws are read by rows
 
+    def test_random_lookup_texts(self, bulk_branches):
+        # texts the table lookup reads: 16 to 31 tokens per vertex, or
+        # from 32 with n² above twice the text length
+        rng = random.Random(25)
+        for i in range(150):
+            if i % 3:
+                n = rng.randint(20, 120)
+                k = rng.randint(8 * n, 15 * n)  # edge lines
+            else:
+                n = rng.randint(400, 450)
+                k = rng.randint(16 * n, 17 * n)
+            g = w.gnp_graph(n, rng.choice((0.05, 0.2, 0.5)), seed=rng.randrange(10**6))
+            head, *lines = w.to_edge_list(g).splitlines()
+            if len(lines) >= k:
+                lines = rng.sample(lines, k)
+            else:
+                lines += rng.choices(lines, k=k - len(lines))  # duplicates
+            lines = [" ".join(x.split()[::-1]) if rng.random() < 0.5 else x for x in lines]
+            if rng.random() < 0.5:
+                rng.shuffle(lines)
+            if rng.random() < 0.3:
+                u = rng.randrange(n)
+                bad = rng.choice((f"{u} {u}", f"{u} {n + rng.randrange(3)}", f"{n} {u}"))
+                lines.insert(rng.randrange(len(lines)), bad)
+            padded = rng.random() < 0.3
+            if padded:
+                lines = [" ".join("0" + x for x in line.split()) for line in lines]
+            text = _text(head, lines)
+            error = assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+            assert bulk_branches == (["lookup", "lines"] if error or padded else ["lookup"])
+            bulk_branches.clear()
+
 
 class TestBulkReadMemory:
     def test_sparse_text_with_a_large_n_builds_no_rows(self, monkeypatch, bulk_branches):
-        # neither the powers of two nor the transposition is made below the
-        # switch, however large n is
+        # no table of vertex names, no powers of two and no transposition
+        # is made below the switch, however large n is
         import wtoll.graph
 
-        monkeypatch.setattr(wtoll.graph, "_Powers", None)
+        def no_table(n):
+            raise AssertionError(f"a table of {n} vertex names was built")
+
+        monkeypatch.setattr(wtoll.graph, "_vertex_ids", no_table)
         text = f"{MAX_VERTICES} 3\n0 1\n1 2\n5 {MAX_VERTICES - 1}\n"
         w.parse_edge_list(text)
         tracemalloc.start()
@@ -557,10 +587,9 @@ class TestBulkReadMemory:
         assert w.parse_edge_list(path).m == n - 1
         assert bulk_branches == ["convert"] * 3
 
-    def test_dense_parse_peak_within_20_times_the_text(self, bulk_branches):
-        # the token list, about 12 bytes per byte of text, dominates; 14.3
-        # times the text was measured (13.1 before the rows)
-        text = w.to_edge_list(w.gnp_graph(300, 0.5, seed=1))
+    @staticmethod
+    def parse_peak(text):
+        """The tracemalloc peak of a second parse of ``text``."""
         w.parse_edge_list(text)
         tracemalloc.start()
         try:
@@ -568,7 +597,22 @@ class TestBulkReadMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    def test_dense_parse_peak_within_20_times_the_text(self, bulk_branches):
+        # the token list, about 12 bytes per byte of text, dominates; 14.5
+        # times the text was measured (13.1 before the rows)
+        text = w.to_edge_list(w.gnp_graph(300, 0.5, seed=1))
+        peak = self.parse_peak(text)
         assert bulk_branches == ["rows", "rows"]
+        assert peak < 20 * len(text)
+
+    def test_lookup_parse_peak_within_20_times_the_text(self, bulk_branches):
+        # 16.1 tokens per vertex, so just above the switch; 16.4 times the
+        # text was measured, most of it the token list
+        text = w.to_edge_list(w.gnp_graph(1000, 0.016, seed=5))
+        peak = self.parse_peak(text)
+        assert bulk_branches == ["lookup", "lookup"]
         assert peak < 20 * len(text)
 
 
