@@ -63,10 +63,14 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], dict[int, int]]:
     that stops growing the reach once it touches every vertex above j.
     A closure round visits its frontier highest bit first (no negation per
     visit) and ORs each visited neighbourhood into ``near``, so the round
-    ends with the same ``near`` in any order. ``seen`` = near & above,
-    recomputed only after a closure grows ``near``, tests both stops: the
-    pass ends when it is empty and moves every level above j up whole
-    when it equals ``above``.
+    ends with the same ``near`` in any order. A visit reads b, the bit
+    length of what is left, and clears bit b - 1 with ``pb[b]`` from a
+    table built once per call, so a visit shifts out no new int; the
+    separator bumps walk their masks the same way. An empty weight level
+    only passes the bumped vertices up, before any ``hit`` is computed.
+    ``seen`` = near & above, recomputed only after a closure grows
+    ``near``, tests both stops: the pass ends when it is empty and moves
+    every level above j up whole when it equals ``above``.
     When the selected weight fails to exceed the previous one, z is a
     generator, and the vertices that bumped it form a minimal separator. A
     clique has at most bound = Δ + 1 members, so bumps are recorded only
@@ -83,6 +87,10 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], dict[int, int]]:
     order_rev: list[int] = []
     separators: dict[int, int] = {}
     prev_weight = -1
+    # pb[b] = 1 << (b - 1), the bit a mask of bit length b loses first: at
+    # most k ints of at most k bits for the k = within.bit_length() vertex
+    # ids MCS-M can meet, the size class of seps and of the graph's masks
+    pb = [0, *map((1).__lshift__, range(within.bit_length()))]
     for _ in range(within.bit_count()):
         while not buckets[top]:
             top -= 1
@@ -100,14 +108,19 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], dict[int, int]]:
         bumped = 0  # the qualifying vertices of weight j, moving to bucket j + 1
         for j in range(top + 1):
             level = buckets[j]
+            if not level:
+                buckets[j] = bumped
+                bumped = 0
+                continue
             hit = level & near
             buckets[j] = level ^ hit | bumped
             bumped = hit
-            if not level:
-                continue
             if hit and j < bound:
-                for u in bits(hit):
-                    seps[u] |= zbit
+                bump = hit
+                while bump:
+                    b = bump.bit_length()
+                    seps[b - 1] |= zbit
+                    bump ^= pb[b]
             above ^= level
             if not above:
                 break
@@ -117,17 +130,20 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], dict[int, int]]:
                 while frontier:
                     pending ^= frontier
                     while frontier:
-                        v = frontier.bit_length() - 1
-                        near |= masks[v]
-                        frontier ^= 1 << v
+                        b = frontier.bit_length()
+                        near |= masks[b - 1]
+                        frontier ^= pb[b]
                     frontier = near & pending
                 seen = near & above
             if not seen:
                 break
             if seen == above:  # every level above j moves up whole
                 for k in range(j + 1, min(top + 1, bound)):
-                    for u in bits(buckets[k]):
-                        seps[u] |= zbit
+                    bump = buckets[k]
+                    while bump:
+                        b = bump.bit_length()
+                        seps[b - 1] |= zbit
+                        bump ^= pb[b]
                 buckets.insert(j + 1, bumped)  # the list grows by at most n
                 bumped, top = 0, top + 1
                 break

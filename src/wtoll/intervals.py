@@ -28,8 +28,8 @@ instance, which makes repeated interval/hull evaluations over overlapping
 pairs (subset searches, fixpoint iterations) cheap. The extreme set is
 memoized on it too, so the wtn solver's twin-class step reuses the set a
 caller has already asked for; the one-vertex test
-:func:`is_extreme_vertex` stops at x's first non-clique layer and keeps
-nothing.
+:func:`is_extreme_vertex` reads that set when it is there, and otherwise
+stops at x's first non-clique layer and keeps nothing.
 """
 
 from __future__ import annotations
@@ -327,6 +327,11 @@ def extreme_vertices(g: Graph) -> frozenset[int]:
 
 def is_extreme_vertex(g: Graph, x: int) -> bool:
     """Membership test for :func:`extreme_vertices`, with early exit: a
-    vertex that is not simplicial fails at the first layer of its BFS."""
+    vertex that is not simplicial fails at the first layer of its BFS.
+    Reads the extreme set memoized on g when :func:`extreme_vertices` has
+    run on it, and runs no BFS then."""
     _check_subset(g, (x,))
+    ext = g._derived.get("extreme_vertices")
+    if ext is not None:
+        return x in ext
     return bool(_is_extreme(g._masks, x))

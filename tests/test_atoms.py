@@ -135,12 +135,19 @@ class TestMcsM:
         # alike (the whole graph's larger Δ may add more, which can then
         # be no clique of the subgraph)
         rng = random.Random(77)
+        cases = []
         for g in [*_mcs_m_graphs(), *(_with_pendant_trees(clique_chain(4, 4), 9, s)
                                       for s in range(5))]:
             within = 0
             for v in range(g.n):
                 if rng.random() < 0.7:
                     within |= 1 << v
+            cases.append((g, within))
+        # the low half of the G(1000, 4/n) giant leaves out the high ids,
+        # so MCS-M's power table is sized by within, not by g.n
+        giant = giant_component(w.gnp_graph(1000, 4 / 1000, seed=1000))
+        cases.append((giant, (1 << giant.n // 2) - 1))
+        for g, within in cases:
             order = list(bits(within))
             index = {v: i for i, v in enumerate(order)}
             sub = w.Graph(len(order), [(index[a], index[b]) for a, b in g.edges()

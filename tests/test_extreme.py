@@ -59,9 +59,10 @@ def _blow_up(g, seed):
 def _assert_matches_reference(graphs):
     for g in graphs:
         g = w.Graph(g.n, g.edges())  # a cold pair memo
+        # one layer test per vertex, asked before the extreme set is memoized
+        single = [w.is_extreme_vertex(g, x) for x in range(g.n)]
         ext = w.extreme_vertices(g)
-        for x in range(g.n):
-            assert w.is_extreme_vertex(g, x) == (x in ext), (g.edges(), x)
+        assert single == [x in ext for x in range(g.n)], g.edges()
         # neither extreme function computes a pair walk mask
         assert not g._pair_cache
         assert ext == reference_extreme_scan(g), g.edges()
@@ -160,6 +161,22 @@ def test_layer_1_skips_condition_2(monkeypatch, make):
         read.clear()
         intervals._is_extreme(g._masks, x)
         assert 1 << x not in read, x
+
+
+def test_is_extreme_vertex_reads_the_memoized_set(monkeypatch, corpus):
+    # with the extreme set memoized, the membership test runs no layer test
+    # and answers on every vertex as the layer test does on a fresh graph
+    graphs = [w.Graph(g.n, g.edges()) for g in corpus]
+    single = [[w.is_extreme_vertex(w.Graph(g.n, g.edges()), x) for x in range(g.n)]
+              for g in graphs]
+    for g in graphs:
+        w.extreme_vertices(g)
+
+    def no_layer_test(masks, x):
+        raise AssertionError("_is_extreme called with the extreme set memoized")
+
+    monkeypatch.setattr(intervals, "_is_extreme", no_layer_test)
+    assert [[w.is_extreme_vertex(g, x) for x in range(g.n)] for g in graphs] == single
 
 
 def _elapsed(fn, *args):
