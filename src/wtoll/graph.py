@@ -8,18 +8,20 @@ after construction, so what is computed from it can be kept on it. It
 has three mutable slots, all memos: ``_pair_cache``, filled by
 :mod:`wtoll.intervals`, holds at most one walk mask per nonadjacent pair,
 ``_derived`` holds at most one entry per kind of whole-graph result, the
-atom decomposition (:func:`wtoll.atoms.decompose`) and the extreme set
-(:func:`wtoll.intervals.extreme_vertices`), both immutable values, and
-``_connected`` is set by ``_require_connected`` once the graph has passed
-it, so the functions defined only on connected graphs search it once
-between them. Every other function here is pure.
+atom decomposition (:func:`wtoll.atoms.decompose`), the extreme set
+(:func:`wtoll.intervals.extreme_vertices`) and the report hash
+(:meth:`Graph.fingerprint`, which the edge-list reader stores itself when
+it proves its text canonical), all immutable values, and ``_connected``
+is set by ``_require_connected`` once the graph has passed it, so the
+functions defined only on connected graphs search it once between them.
+Every other function here is pure.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from itertools import compress
+from itertools import compress, groupby, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
@@ -108,6 +110,11 @@ def component_mask(masks: Sequence[int], allowed: int, start: int) -> int:
 _BINARY_DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _payload_hash(payload: bytes) -> str:
+    """The report hash of a fingerprint payload (:meth:`Graph.fingerprint`)."""
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
 class Graph:
     """Finite simple undirected graph with vertices 0..n-1."""
 
@@ -145,10 +152,11 @@ class Graph:
         # lazily filled by wtoll.intervals; maps a nonadjacent pair (u, w)
         # with u < w to the mask of vertices on weakly toll (u, w)-walks
         self._pair_cache: dict[tuple[int, int], int] = {}
-        # lazily filled by wtoll.atoms and wtoll.intervals; maps the name of
-        # the function that computed a whole-graph result to that result:
-        # "decompose" to its AtomDecomposition, "extreme_vertices" to its
-        # frozenset
+        # lazily filled by wtoll.atoms, wtoll.intervals, fingerprint and the
+        # edge-list reader; maps the name of the function that computed a
+        # whole-graph result to that result: "decompose" to its
+        # AtomDecomposition, "extreme_vertices" to its frozenset,
+        # "fingerprint" to its str
         self._derived: dict[str, object] = {}
         # set by _require_connected once the graph has passed its test
         self._connected = False
@@ -174,16 +182,24 @@ class Graph:
         """Stable short hash of the adjacency structure.
 
         The sha256 prefix of ``"n;u,v;u,v;..."`` over :meth:`edges` in
-        order, joined from per-vertex strings made once, not formatted
-        per edge. The neighbors of u above u form u's row. A dense row,
-        one with at least 8 neighbors that fill at least a sixteenth of
-        its bit length (the span from u + 1 to its highest neighbor), is
-        picked out of ``names`` by one ``compress`` over the row's binary
-        digits and joined into one segment ``"u,v;u,v;..."``; any other
-        row is listed per edge. A graph with fewer than 8n edges has few
-        rows that repay a row's fixed cost, so it is listed per edge with
-        no per-row test.
+        order, made once per graph and stored in ``_derived``. The
+        edge-list reader stores it first when it proves its text canonical
+        (:func:`_dense_masks`): the text after the header is then that
+        payload with ``","`` and ``";"`` written as ``" "`` and ``"\\n"``.
+
+        Otherwise the payload is joined from per-vertex strings made once,
+        not formatted per edge. The neighbors of u above u form u's row. A
+        dense row, one with at least 8 neighbors that fill at least a
+        sixteenth of its bit length (the span from u + 1 to its highest
+        neighbor), is picked out of ``names`` by one ``compress`` over the
+        row's binary digits and joined into one segment ``"u,v;u,v;..."``;
+        any other row is listed per edge. A graph with fewer than 8n edges
+        has few rows that repay a row's fixed cost, so it is listed per
+        edge with no per-row test.
         """
+        stored = self._derived.get("fingerprint")
+        if stored is not None:
+            return stored
         n, masks = self.n, self._masks
         names = list(map(str, range(n)))
         heads = [name + "," for name in names]
@@ -207,7 +223,8 @@ class Graph:
                 elif k:
                     segments += [heads[u] + names[v] for v in bits(upper << (u + 1))]
         payload = f"{n};" + ";".join(segments)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        fp = self._derived["fingerprint"] = _payload_hash(payload.encode())
+        return fp
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -237,6 +254,10 @@ _NOT_PLAIN_LINE = re.compile(
 )
 
 _DIGITS = b"0123456789"
+
+# bytes.translate table taking canonical edge lines to the fingerprint
+# payload: "u v\nu v" to "u,v;u,v"
+_PAYLOAD_BYTES = bytes.maketrans(b" \n", b",;")
 
 
 def _is_bare_edge_list(data: bytes) -> bool:
@@ -279,8 +300,9 @@ def parse_edge_list(text: str) -> Graph:
     """
     if text.isascii():
         data = text.encode("ascii")
-        if _is_bare_edge_list(data) or _NOT_PLAIN_LINE.search(text) is None:
-            g = _parse_plain_edge_list(data)
+        bare = _is_bare_edge_list(data)
+        if bare or _NOT_PLAIN_LINE.search(text) is None:
+            g = _parse_plain_edge_list(data, bare)
             if g is not None:
                 return g
     return _parse_edge_list_lines(text)
@@ -292,23 +314,51 @@ def _vertex_ids(n: int) -> dict[bytes, int]:
     return dict(zip(map(b"%d".__mod__, range(n)), range(n)))
 
 
-def _dense_masks(n: int, tokens: list[bytes]) -> list[int]:
-    """The neighbor masks of the edge lines ``tokens``, by rows: row u is
-    the OR of ``1 << v`` over the lines "u v", and mask v is row v OR
-    column v of the rows. Tokens are looked up in two tables made once,
-    ``ids`` and ``powers`` (``1 << v``); a token that is not a vertex name
-    as written, such as ``b"007"``, raises ``KeyError``."""
+def _dense_masks(n: int, tokens: list[bytes], bare: bool) -> tuple[list[int], bool]:
+    """The neighbor masks of the edge lines ``tokens``, by rows, and
+    whether the lines are canonical: in the order and form
+    :func:`to_edge_list` writes them.
+
+    Row u is the OR of ``1 << v`` over the lines "u v", and mask v is row
+    v OR column v of the rows. Tokens are looked up in two tables made
+    once, ``ids`` and ``powers`` (``1 << v``); a token that is not a
+    vertex name as written, such as ``b"007"``, raises ``KeyError``.
+
+    ``bare`` text is read in runs of lines that share a first token u,
+    for as long as the runs prove it canonical: each run's head lies
+    above the last one, and its powers of two ascend from above
+    ``1 << u`` with none repeated. The run's row is their sum, which is
+    their OR iff it has as many bits as the run has lines. From the first
+    run that fails (a repeated line, a line "v u", lines out of order) to
+    the end, and for all other text, the lines are ORed into the rows one
+    by one.
+    """
     ids = _vertex_ids(n)
     powers = dict(zip(ids, map((1).__lshift__, range(n))))
+    tails = list(map(powers.__getitem__, tokens[1::2]))
     rows = [0] * n
-    it = iter(tokens)
-    for u, bit in zip(map(ids.__getitem__, it), map(powers.__getitem__, it)):
+    start = 0  # the lines before it are canonical and in the rows
+    if bare:
+        last = -1
+        for head, lines in groupby(islice(tokens, 0, None, 2)):
+            u = ids[head]
+            end = start + len(list(lines))
+            run = tails[start:end]
+            row = sum(run)
+            if not (last < u and run[0] >> u > 1 and row.bit_count() == len(run)
+                    and run == sorted(run)):
+                break
+            rows[u] = row
+            last, start = u, end
+    heads = islice(tokens, 2 * start, None, 2)
+    for u, bit in zip(map(ids.__getitem__, heads), tails[start:]):
         rows[u] |= bit
     # Row u as n binary digits holds bit v at index n - 1 - v. With the
     # rows joined from n - 1 down to 0, the digits at n - 1 - v, 2n - 1 - v,
     # ... are bit v of rows n - 1, n - 2, ..., 0: column v, highest first.
     digits = "".join(map(f"{{:0{n}b}}".format, reversed(rows)))
-    return [row | int(digits[n - 1 - v::n], 2) for v, row in enumerate(rows)]
+    masks = [row | int(digits[n - 1 - v::n], 2) for v, row in enumerate(rows)]
+    return masks, bare and start == len(tails)
 
 
 def _masks_per_edge(n: int, ids: Iterable[int]) -> list[int]:
@@ -321,39 +371,46 @@ def _masks_per_edge(n: int, ids: Iterable[int]) -> list[int]:
     return masks
 
 
-def _parse_plain_edge_list(data: bytes) -> Graph | None:
+def _parse_plain_edge_list(data: bytes, bare: bool) -> Graph | None:
     """Bulk parse of ASCII text with no ``_NOT_PLAIN_LINE``; None if the
     line loop must decide (no header, a vertex count over the limit, a
     number too long for ``int``, an endpoint out of range, a self-loop).
+    ``bare`` is the verdict of :func:`_is_bare_edge_list` on ``data``.
 
-    Dense text, with at least 32 tokens per vertex and n² at most twice
-    its length, is read by rows (:func:`_dense_masks`): one OR per edge
-    line and one transposition of the rows as binary digits, in place of
-    two shifts and two ORs per edge. The second bound keeps the powers of
-    two (at most n²/16 bytes) and the digits (about 3n² bytes) below the
-    size of the token list. Other text is read per edge, looking each
-    token up in :func:`_vertex_ids` from 16 tokens per vertex and
-    converting every token below that. The tables know each id only as
-    :func:`to_edge_list` writes it, so from 16 tokens per vertex a
-    zero-padded id sends the text to the line loop.
+    Dense text, with at least 16 tokens per vertex and n² at most twice
+    its length, is read by rows (:func:`_dense_masks`): one sum per run of
+    lines that share a first endpoint and one transposition of the rows
+    as binary digits, in place of two shifts and two ORs per edge. The
+    second bound keeps the powers of two (at most n²/16 bytes) and the
+    digits (about 3n² bytes) below the size of the token list. When the
+    rows prove the text canonical, the report hash is taken from the text
+    itself, one sha256 of the lines after the header, and stored in the
+    graph's ``_derived`` for :meth:`Graph.fingerprint`. Other text is read
+    per edge, looking each token up in :func:`_vertex_ids` from 8 tokens
+    per vertex and converting every token below that. The tables know
+    each id only as :func:`to_edge_list` writes it, so from 8 tokens per
+    vertex a zero-padded id sends the text to the line loop.
     """
     tokens = data.split()  # bytes tokens are smaller than str ones
     if not tokens:
         return None
     head = tokens[:2]
     del tokens[:2]
+    canonical = False
     try:
         n, _ = map(int, head)
         if n > MAX_VERTICES:
             return None
-        if len(tokens) >= 32 * n and n * n <= 2 * len(data):
-            # the rows pay from about 24 tokens per vertex up (n = 30 to
-            # 200) and from n² at about 2.5 times the text length down
-            # (n = 300; 4 at n = 1000)
-            masks = _dense_masks(n, tokens)
-        elif len(tokens) < 16 * n:
-            # under 16 tokens per vertex every token is converted, so a
-            # sparse file with a large n builds no table of n names
+        if len(tokens) >= 16 * n and n * n <= 2 * len(data):
+            # from 16 tokens per vertex, canonical text read by rows skips
+            # the hash's row build, which costs more than the rows and the
+            # sha256 add; shuffled text takes 0.9 to 1.15 times as long as
+            # the lookup (n = 30 to 300)
+            masks, canonical = _dense_masks(n, tokens, bare)
+        elif len(tokens) < 8 * n:
+            # under 8 tokens per vertex every token is converted, so a
+            # sparse file with a large n builds no table of n names; the
+            # lookup was faster at 6, 8 and 12 (n = 30, 300 and 1,000)
             ids = list(map(int, tokens))
             if max(ids, default=-1) >= n:
                 return None
@@ -364,7 +421,13 @@ def _parse_plain_edge_list(data: bytes) -> Graph | None:
         return None
     if any(mask >> u & 1 for u, mask in enumerate(masks)):
         return None  # a self-loop
-    return Graph._from_masks(n, masks)
+    g = Graph._from_masks(n, masks)
+    if canonical:
+        # "n m\nu v\nu v\n" is the payload "n;u,v;u,v" with " " for ","
+        # and "\n" for ";"; the header's own text and the last "\n" drop out
+        lines = data.partition(b"\n")[2].removesuffix(b"\n")
+        g._derived["fingerprint"] = _payload_hash(b"%d;" % n + lines.translate(_PAYLOAD_BYTES))
+    return g
 
 
 def _parse_edge_list_lines(text: str) -> Graph:

@@ -2,7 +2,9 @@ import hashlib
 import random
 import time
 import tracemalloc
+from functools import reduce
 from itertools import combinations, compress, islice
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -118,8 +120,8 @@ BULK_CASES = [
 
 
 def _with_many_tokens(text):
-    """``text`` with 8n "0 1" lines after its header line, so that the
-    bulk read meets at least 16 tokens per vertex, but under 32, and
+    """``text`` with 4n "0 1" lines after its header line, so that the
+    bulk read meets at least 8 tokens per vertex, but under 16, and
     looks each distinct token up instead of converting every one or
     reading rows; None unless the header starts with an n from 2 to
     100."""
@@ -132,7 +134,7 @@ def _with_many_tokens(text):
         return None
     if not (parts[0].isdecimal() and len(parts[0]) <= 3 and 2 <= int(parts[0]) <= 100):
         return None
-    lines[i] += "\n0 1" * (8 * int(parts[0]))
+    lines[i] += "\n0 1" * (4 * int(parts[0]))
     return "\n".join(lines)
 
 
@@ -148,9 +150,9 @@ def bulk_branches(monkeypatch):
     dense_masks, masks_per_edge = wtoll.graph._dense_masks, wtoll.graph._masks_per_edge
     parse_lines = wtoll.graph._parse_edge_list_lines
 
-    def rows(n, tokens):
+    def rows(n, tokens, bare):
         taken.append("rows")
-        return dense_masks(n, tokens)
+        return dense_masks(n, tokens, bare)
 
     def per_edge(n, ids):
         taken.append("convert" if isinstance(ids, list) else "lookup")
@@ -216,7 +218,7 @@ class TestParseEdgeList:
     @pytest.mark.parametrize("text", BULK_CASES)
     def test_bulk_path_matches_reference(self, bulk_branches, text):
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
-        # below 16 tokens per vertex every token is converted; n = 0 has
+        # below 8 tokens per vertex every token is converted; n = 0 has
         # no vertex, so the rows read it
         assert bulk_branches == (["rows"] if text.split()[0] == "0" else ["convert"])
 
@@ -404,30 +406,32 @@ def _padded(text, length):
     return text + "\n" * (length - len(text))
 
 
-# n = 1000 with 16,000 edge lines (32 tokens per vertex), short of n²/2
+# n = 1000 with 8,000 edge lines (16 tokens per vertex), short of n²/2
 # characters, so only the length decides
-_LONG_ROWS = "1000 16000\n" + "".join(f"{i % 1000} {(7 * i + 1) % 1000}\n" for i in range(16_000))
+_LONG_ROWS = "1000 8000\n" + "".join(f"{i % 1000} {(7 * i + 1) % 1000}\n" for i in range(8_000))
 
 
 class TestBulkBranches:
     """Each bulk branch is pinned with its own inputs, on both sides of
-    each switch: rows from 32 tokens per vertex with n² at most twice the
-    text length, else a table lookup per token from 16 tokens per vertex,
+    each switch: rows from 16 tokens per vertex with n² at most twice the
+    text length, else a table lookup per token from 8 tokens per vertex,
     else a conversion per token."""
 
     @pytest.mark.parametrize(
         "text, branch",
         [
-            pytest.param(_first_edges(64, 1024), "rows", id="32n tokens"),
-            pytest.param(_first_edges(64, 1023), "lookup", id="32n - 2 tokens"),
-            pytest.param(_first_edges(64, 512), "lookup", id="16n tokens"),
-            pytest.param(_first_edges(64, 511), "convert", id="16n - 2 tokens"),
+            pytest.param(_first_edges(64, 512), "rows", id="16n tokens"),
+            pytest.param(_first_edges(64, 511), "lookup", id="16n - 2 tokens"),
+            pytest.param(_first_edges(64, 256), "lookup", id="8n tokens"),
+            pytest.param(_first_edges(64, 255), "convert", id="8n - 2 tokens"),
             pytest.param(_first_edges(3, 0), "convert", id="header only"),
             pytest.param(_padded(_LONG_ROWS, 500_000), "rows", id="n² = 2 len"),
             pytest.param(_padded(_LONG_ROWS, 499_999), "lookup", id="n² = 2 len + 2"),
             pytest.param("0 0\n", "rows", id="n = 0"),
-            pytest.param("2 1\n" + "0 1\n1 0\n" * 16, "rows", id="n = 2, 32n tokens"),
-            pytest.param("2 1\n" + "0 1\n1 0\n" * 15 + "0 1\n", "lookup", id="n = 2, 32n - 2"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 8, "rows", id="n = 2, 16n tokens"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 7 + "0 1\n", "lookup", id="n = 2, 16n - 2"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 4, "lookup", id="n = 2, 8n tokens"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 3 + "0 1\n", "convert", id="n = 2, 8n - 2"),
         ],
     )
     def test_branch_at_each_switch(self, bulk_branches, text, branch):
@@ -526,16 +530,16 @@ class TestDenseBranchParity:
         assert rows >= 75  # most draws are read by rows
 
     def test_random_lookup_texts(self, bulk_branches):
-        # texts the table lookup reads: 16 to 31 tokens per vertex, or
-        # from 32 with n² above twice the text length
+        # texts the table lookup reads: 8 to 15 tokens per vertex, or
+        # from 16 with n² above twice the text length
         rng = random.Random(25)
         for i in range(150):
             if i % 3:
                 n = rng.randint(20, 120)
-                k = rng.randint(8 * n, 15 * n)  # edge lines
+                k = rng.randint(4 * n, 7 * n)  # edge lines
             else:
                 n = rng.randint(400, 450)
-                k = rng.randint(16 * n, 17 * n)
+                k = rng.randint(8 * n, 9 * n)
             g = w.gnp_graph(n, rng.choice((0.05, 0.2, 0.5)), seed=rng.randrange(10**6))
             head, *lines = w.to_edge_list(g).splitlines()
             if len(lines) >= k:
@@ -600,16 +604,18 @@ class TestBulkReadMemory:
         return peak
 
     def test_dense_parse_peak_within_20_times_the_text(self, bulk_branches):
-        # the token list, about 12 bytes per byte of text, dominates; 14.5
-        # times the text was measured (13.1 before the rows)
+        # the token list, about 12 bytes per byte of text, dominates; 16.1
+        # times the text was measured (14.5 before the lines were read in
+        # runs, 13.1 before the rows)
         text = w.to_edge_list(w.gnp_graph(300, 0.5, seed=1))
         peak = self.parse_peak(text)
         assert bulk_branches == ["rows", "rows"]
         assert peak < 20 * len(text)
 
     def test_lookup_parse_peak_within_20_times_the_text(self, bulk_branches):
-        # 16.1 tokens per vertex, so just above the switch; 16.4 times the
-        # text was measured, most of it the token list
+        # 16.1 tokens per vertex, above the rows switch, but n² is over
+        # twice the text length, so each token is looked up; 16.4 times
+        # the text was measured, most of it the token list
         text = w.to_edge_list(w.gnp_graph(1000, 0.016, seed=5))
         peak = self.parse_peak(text)
         assert bulk_branches == ["lookup", "lookup"]
@@ -701,6 +707,111 @@ class TestFingerprintMatchesReference:
     def test_gnp_300(self, p):
         g = w.gnp_graph(300, p, seed=17)
         assert g.fingerprint() == reference_fingerprint(g)
+
+
+# G(300, 0.5), seed 7, as `wtoll generate random-gnp 300 0.5 --seed 7`
+# writes it, and the hash the CLI's reports have always printed for it
+_CI_HEAD, *_CI_LINES = w.to_edge_list(w.gnp_graph(300, 0.5, seed=7)).splitlines()
+_CI_HASH = "b2db3953155ea4b8"
+
+
+def _swapped_in_a_row(lines):
+    """``lines`` with the first two lines of one row swapped."""
+    k = next(k for k in range(len(lines) - 1) if lines[k].split()[0] == lines[k + 1].split()[0])
+    return lines[:k] + [lines[k + 1], lines[k]] + lines[k + 2:]
+
+
+def _rows_swapped(lines):
+    """``lines`` with the lines of rows 0 and 1 in each other's place."""
+    row = [[x for x in lines if x.split()[0] == u] for u in ("0", "1")]
+    return row[1] + row[0] + lines[len(row[0]) + len(row[1]):]
+
+
+class TestTextFingerprint:
+    """Canonical text read by rows stores its hash, one sha256 of the
+    text; every other bare text read by rows stores nothing. Either way
+    ``fingerprint()`` gives the reference's hash and a ``_from_masks``
+    copy's, which is built from the masks."""
+
+    @staticmethod
+    def check(text, stored):
+        g = w.parse_edge_list(text)
+        assert ("fingerprint" in g._derived) is stored
+        assert g.fingerprint() == reference_fingerprint(g)
+        assert g.fingerprint() == Graph._from_masks(g.n, g._masks).fingerprint()
+        return g
+
+    CANONICAL = {
+        "final newline": _text(_CI_HEAD, _CI_LINES),
+        "no final newline": "\n".join([_CI_HEAD, *_CI_LINES]),
+        "zero-padded header n": _text("0" + _CI_HEAD, _CI_LINES),
+    }
+
+    @pytest.mark.parametrize("text", CANONICAL.values(), ids=CANONICAL.keys())
+    def test_canonical_text_stores_the_hash(self, bulk_branches, text):
+        assert text.startswith(("300 ", "0300 "))
+        self.check(text, stored=True)
+        assert w.parse_edge_list(text).fingerprint() == _CI_HASH
+        assert bulk_branches == ["rows", "rows"]
+
+    @pytest.mark.parametrize("text", ["0 0", "0 0\n"])
+    def test_empty_graph_stores_the_hash(self, bulk_branches, text):
+        assert self.check(text, stored=True).n == 0
+        assert bulk_branches == ["rows"]
+
+    NOT_CANONICAL = {
+        "two lines of one row swapped": _text(_HEAD, _swapped_in_a_row(_LINES)),
+        "two rows out of order": _text(_HEAD, _rows_swapped(_LINES)),
+        "a line repeated in its run": _with_line(1, _LINES[0]),
+        "a line repeated in a later row": _with_line(len(_LINES) - 1, _LINES[0]),
+        "a line written v u": _text(_HEAD, _LINES[:9] + _flipped(_LINES[9:10]) + _LINES[10:]),
+        "the last line written v u": _text(_HEAD, _LINES[:-1] + _flipped(_LINES[-1:])),
+    }
+
+    @pytest.mark.parametrize("text", NOT_CANONICAL.values(), ids=NOT_CANONICAL.keys())
+    def test_other_bare_text_stores_nothing(self, bulk_branches, text):
+        assert _is_bare_edge_list(text.encode())
+        assert self.check(text, stored=False) == w.parse_edge_list(_text(_HEAD, _LINES))
+        assert bulk_branches == ["rows", "rows"]
+
+    def test_text_that_is_not_bare_stores_nothing(self, bulk_branches):
+        # tabs take the regex check, and text it admits is never proved canonical
+        text = _text(_HEAD, _LINES).replace(" ", "\t")
+        self.check(text, stored=False)
+        assert bulk_branches == ["rows"]
+
+    def test_canonical_text_builds_no_row(self, monkeypatch):
+        import wtoll.graph
+
+        def no_row(*args):
+            raise AssertionError("fingerprint() built a row")
+
+        g = w.parse_edge_list(_text(_CI_HEAD, _CI_LINES))
+        monkeypatch.setattr(wtoll.graph, "compress", no_row)
+        assert g.m >= 8 * g.n  # so a computed hash would compress its rows
+        assert g.fingerprint() == _CI_HASH
+
+    def test_a_computed_hash_is_stored(self):
+        g = w.gnp_graph(300, 0.5, seed=7)
+        assert "fingerprint" not in g._derived
+        assert g.fingerprint() == _CI_HASH == g._derived["fingerprint"]
+
+    def test_random_runs_with_a_repeated_line(self, bulk_branches):
+        # a line repeated next to itself puts a power of two twice in its
+        # run, so the run's sum carries and differs from its OR
+        rng = random.Random(27)
+        for _ in range(60):
+            n = rng.randint(40, 80)  # at least 23 tokens per vertex, so read by rows
+            g = w.gnp_graph(n, rng.choice((0.6, 0.8, 1.0)), seed=rng.randrange(10**6))
+            head, *lines = w.to_edge_list(g).splitlines()
+            k = rng.randrange(len(lines))
+            lines.insert(k, lines[k])
+            u = lines[k].split()[0]
+            run = [1 << int(x.split()[1]) for x in lines if x.split()[0] == u]
+            assert sum(run) != reduce(or_, run)
+            assert self.check(_text(head, lines), stored=False) == g
+            assert bulk_branches == ["rows"]
+            bulk_branches.clear()
 
 
 class TestGraph6:
