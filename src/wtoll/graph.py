@@ -14,14 +14,15 @@ atom decomposition (:func:`wtoll.atoms.decompose`), the extreme set
 it proves its text canonical), all immutable values, and ``_connected``
 is set by ``_require_connected`` once the graph has passed it, so the
 functions defined only on connected graphs search it once between them.
-Every other function here is pure.
+Every other function here is pure. Bare edge-list text is read in bulk,
+by rows or per edge (:func:`parse_edge_list`), and any other text by a
+line loop that names the first bad line.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
-from itertools import compress, groupby, islice
+from itertools import groupby, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, DisconnectedGraphError, GraphParseError
@@ -106,10 +107,6 @@ def component_mask(masks: Sequence[int], allowed: int, start: int) -> int:
     return comp
 
 
-# bytes.translate table taking the digits b"0" and b"1" to the bytes 0 and 1
-_BINARY_DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _payload_hash(payload: bytes) -> str:
     """The report hash of a fingerprint payload (:meth:`Graph.fingerprint`)."""
     return hashlib.sha256(payload).hexdigest()[:16]
@@ -186,43 +183,20 @@ class Graph:
         edge-list reader stores it first when it proves its text canonical
         (:func:`_dense_masks`): the text after the header is then that
         payload with ``","`` and ``";"`` written as ``" "`` and ``"\\n"``.
-
-        Otherwise the payload is joined from per-vertex strings made once,
-        not formatted per edge. The neighbors of u above u form u's row. A
-        dense row, one with at least 8 neighbors that fill at least a
-        sixteenth of its bit length (the span from u + 1 to its highest
-        neighbor), is picked out of ``names`` by one ``compress`` over the
-        row's binary digits and joined into one segment ``"u,v;u,v;..."``;
-        any other row is listed per edge. A graph with fewer than 8n edges
-        has few rows that repay a row's fixed cost, so it is listed per
-        edge with no per-row test.
+        Otherwise the payload is joined here from one ``"u,v"`` segment per
+        edge, with each vertex's name made once, not formatted per edge.
         """
         stored = self._derived.get("fingerprint")
         if stored is not None:
             return stored
-        n, masks = self.n, self._masks
-        names = list(map(str, range(n)))
+        names = list(map(str, range(self.n)))
         heads = [name + "," for name in names]
-        if self.m < 8 * n:
-            segments = [
-                heads[u] + names[v]
-                for u, mask in enumerate(masks)
-                for v in bits(mask >> (u + 1) << (u + 1))  # the neighbors above u
-            ]
-        else:
-            segments = []
-            for u, mask in enumerate(masks):
-                upper = mask >> (u + 1)
-                k = upper.bit_count()
-                if k >= 8 and k << 4 >= upper.bit_length():
-                    # bit i of upper is vertex u + 1 + i, so the binary
-                    # digits reversed select from names[u + 1:]
-                    selector = bin(upper)[:1:-1].encode().translate(_BINARY_DIGIT_VALUE)
-                    row = compress(names[u + 1:], selector)
-                    segments.append(heads[u] + (";" + heads[u]).join(row))
-                elif k:
-                    segments += [heads[u] + names[v] for v in bits(upper << (u + 1))]
-        payload = f"{n};" + ";".join(segments)
+        segments = [
+            heads[u] + names[v]
+            for u, mask in enumerate(self._masks)
+            for v in bits(mask >> (u + 1) << (u + 1))  # the neighbors above u
+        ]
+        payload = f"{self.n};" + ";".join(segments)
         fp = self._derived["fingerprint"] = _payload_hash(payload.encode())
         return fp
 
@@ -243,15 +217,6 @@ class Graph:
 # ---------------------------------------------------------------------------
 # edge-list format
 # ---------------------------------------------------------------------------
-
-# The start of a line that is neither blank nor two unsigned decimal
-# integers separated by spaces or tabs; the first alternative is the
-# common "u v" line. A search for such a line keeps no state from one line
-# to the next, unlike a fullmatch over a repeated line group, whose
-# backtracking stack grows by one entry per line.
-_NOT_PLAIN_LINE = re.compile(
-    r"^(?![0-9]+[ \t]+[0-9]+$|[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?$)", re.MULTILINE
-)
 
 _DIGITS = b"0123456789"
 
@@ -289,67 +254,56 @@ def parse_edge_list(text: str) -> Graph:
     and blank lines are ignored. Parallel edges collapse silently;
     self-loops are a hard error, and so is ``n`` above :data:`MAX_VERTICES`.
 
-    ASCII text that holds only blank lines and "u v" lines of plain decimal
-    vertex ids is read in bulk. Two checks, cheapest first, find such text:
-    a byte-level one for the bare "u v\n" lines :func:`to_edge_list`
-    writes, then a search for a line that is not plain, which admits tabs,
-    blank lines and runs of spaces. Anything else (comments, other
-    whitespace, signs, a bad line) goes through the line loop, which
-    reports the first bad line by number; so does text the bulk read
-    refuses.
+    Bare text, the "u v\n" lines of plain decimal ids :func:`to_edge_list`
+    writes (:func:`_is_bare_edge_list`), is read in bulk. Anything else
+    (comments, blank lines, tabs, runs of blanks, other whitespace, signs,
+    a bad line) goes through the line loop, which reports the first bad
+    line by number; so does text the bulk read refuses.
     """
     if text.isascii():
         data = text.encode("ascii")
-        bare = _is_bare_edge_list(data)
-        if bare or _NOT_PLAIN_LINE.search(text) is None:
-            g = _parse_plain_edge_list(data, bare)
+        if _is_bare_edge_list(data):
+            g = _parse_plain_edge_list(data)
             if g is not None:
                 return g
     return _parse_edge_list_lines(text)
 
 
-def _vertex_ids(n: int) -> dict[bytes, int]:
-    """The vertex of each decimal name ``b"0"`` ... ``b"n-1"``, built with
-    no Python call per entry; any other token (zero-padded, ≥ n) is missing."""
-    return dict(zip(map(b"%d".__mod__, range(n)), range(n)))
-
-
-def _dense_masks(n: int, tokens: list[bytes], bare: bool) -> tuple[list[int], bool]:
-    """The neighbor masks of the edge lines ``tokens``, by rows, and
+def _dense_masks(n: int, tokens: list[bytes]) -> tuple[list[int], bool]:
+    """The neighbor masks of the bare edge lines ``tokens``, by rows, and
     whether the lines are canonical: in the order and form
     :func:`to_edge_list` writes them.
 
     Row u is the OR of ``1 << v`` over the lines "u v", and mask v is row
     v OR column v of the rows. Tokens are looked up in two tables made
-    once, ``ids`` and ``powers`` (``1 << v``); a token that is not a
-    vertex name as written, such as ``b"007"``, raises ``KeyError``.
+    once with no Python call per entry, ``ids`` and ``powers``
+    (``1 << v``); a token that is not a vertex name as written, such as
+    ``b"007"``, raises ``KeyError``.
 
-    ``bare`` text is read in runs of lines that share a first token u,
-    for as long as the runs prove it canonical: each run's head lies
-    above the last one, and its powers of two ascend from above
-    ``1 << u`` with none repeated. The run's row is their sum, which is
-    their OR iff it has as many bits as the run has lines. From the first
-    run that fails (a repeated line, a line "v u", lines out of order) to
-    the end, and for all other text, the lines are ORed into the rows one
-    by one.
+    The lines are read in runs that share a first token u, for as long as
+    the runs prove them canonical: each run's head lies above the last
+    one, and its powers of two ascend from above ``1 << u`` with none
+    repeated. The run's row is their sum, which is their OR iff it has as
+    many bits as the run has lines. From the first run that fails (a
+    repeated line, a line "v u", lines out of order) to the end, the lines
+    are ORed into the rows one by one.
     """
-    ids = _vertex_ids(n)
+    ids = dict(zip(map(b"%d".__mod__, range(n)), range(n)))
     powers = dict(zip(ids, map((1).__lshift__, range(n))))
     tails = list(map(powers.__getitem__, tokens[1::2]))
     rows = [0] * n
     start = 0  # the lines before it are canonical and in the rows
-    if bare:
-        last = -1
-        for head, lines in groupby(islice(tokens, 0, None, 2)):
-            u = ids[head]
-            end = start + len(list(lines))
-            run = tails[start:end]
-            row = sum(run)
-            if not (last < u and run[0] >> u > 1 and row.bit_count() == len(run)
-                    and run == sorted(run)):
-                break
-            rows[u] = row
-            last, start = u, end
+    last = -1
+    for head, lines in groupby(islice(tokens, 0, None, 2)):
+        u = ids[head]
+        end = start + len(list(lines))
+        run = tails[start:end]
+        row = sum(run)
+        if not (last < u and run[0] >> u > 1 and row.bit_count() == len(run)
+                and run == sorted(run)):
+            break
+        rows[u] = row
+        last, start = u, end
     heads = islice(tokens, 2 * start, None, 2)
     for u, bit in zip(map(ids.__getitem__, heads), tails[start:]):
         rows[u] |= bit
@@ -358,42 +312,46 @@ def _dense_masks(n: int, tokens: list[bytes], bare: bool) -> tuple[list[int], bo
     # ... are bit v of rows n - 1, n - 2, ..., 0: column v, highest first.
     digits = "".join(map(f"{{:0{n}b}}".format, reversed(rows)))
     masks = [row | int(digits[n - 1 - v::n], 2) for v, row in enumerate(rows)]
-    return masks, bare and start == len(tails)
+    return masks, start == len(tails)
 
 
 def _masks_per_edge(n: int, ids: Iterable[int]) -> list[int]:
-    """The neighbor masks of the edges (ids[0], ids[1]), (ids[2], ids[3]), ..."""
+    """The neighbor masks of the edges (ids[0], ids[1]), (ids[2], ids[3]), ...
+
+    Both masks of an edge are loaded before either shift, so an id at or
+    above n raises ``IndexError`` before ``1 << id`` is made: a stray id
+    such as 10**14 would otherwise ask for a 12 TB integer.
+    """
     masks = [0] * n
     pairs = iter(ids)
     for u, v in zip(pairs, pairs):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+        mu, mv = masks[u], masks[v]
+        masks[u] = mu | 1 << v
+        masks[v] = mv | 1 << u
     return masks
 
 
-def _parse_plain_edge_list(data: bytes, bare: bool) -> Graph | None:
-    """Bulk parse of ASCII text with no ``_NOT_PLAIN_LINE``; None if the
-    line loop must decide (no header, a vertex count over the limit, a
-    number too long for ``int``, an endpoint out of range, a self-loop).
-    ``bare`` is the verdict of :func:`_is_bare_edge_list` on ``data``.
+def _parse_plain_edge_list(data: bytes) -> Graph | None:
+    """Bulk parse of bare text (:func:`_is_bare_edge_list`); None if the
+    line loop must decide (a vertex count over the limit, a number too
+    long for ``int``, an endpoint out of range, a self-loop).
 
     Dense text, with at least 16 tokens per vertex and n² at most twice
     its length, is read by rows (:func:`_dense_masks`): one sum per run of
     lines that share a first endpoint and one transposition of the rows
     as binary digits, in place of two shifts and two ORs per edge. The
     second bound keeps the powers of two (at most n²/16 bytes) and the
-    digits (about 3n² bytes) below the size of the token list. When the
-    rows prove the text canonical, the report hash is taken from the text
-    itself, one sha256 of the lines after the header, and stored in the
-    graph's ``_derived`` for :meth:`Graph.fingerprint`. Other text is read
-    per edge, looking each token up in :func:`_vertex_ids` from 8 tokens
-    per vertex and converting every token below that. The tables know
-    each id only as :func:`to_edge_list` writes it, so from 8 tokens per
-    vertex a zero-padded id sends the text to the line loop.
+    digits (about 3n² bytes) below the size of the token list. The rows'
+    tables know each id only as :func:`to_edge_list` writes it, so there
+    a zero-padded id sends the text to the line loop. When the rows prove
+    the text canonical, the report hash is taken from the text itself,
+    one sha256 of the lines after the header, and stored in the graph's
+    ``_derived`` for :meth:`Graph.fingerprint`. Other text is read per
+    edge, each token converted by ``int`` as it streams into
+    :func:`_masks_per_edge`, so a sparse file with a large n builds no
+    table of n names.
     """
     tokens = data.split()  # bytes tokens are smaller than str ones
-    if not tokens:
-        return None
     head = tokens[:2]
     del tokens[:2]
     canonical = False
@@ -403,21 +361,13 @@ def _parse_plain_edge_list(data: bytes, bare: bool) -> Graph | None:
             return None
         if len(tokens) >= 16 * n and n * n <= 2 * len(data):
             # from 16 tokens per vertex, canonical text read by rows skips
-            # the hash's row build, which costs more than the rows and the
-            # sha256 add; shuffled text takes 0.9 to 1.15 times as long as
-            # the lookup (n = 30 to 300)
-            masks, canonical = _dense_masks(n, tokens, bare)
-        elif len(tokens) < 8 * n:
-            # under 8 tokens per vertex every token is converted, so a
-            # sparse file with a large n builds no table of n names; the
-            # lookup was faster at 6, 8 and 12 (n = 30, 300 and 1,000)
-            ids = list(map(int, tokens))
-            if max(ids, default=-1) >= n:
-                return None
-            masks = _masks_per_edge(n, ids)
+            # the hash's payload build, which costs more than the rows and
+            # the sha256 add; parse plus hash of shuffled text takes 0.81
+            # to 1.01 times as long as per edge (n = 30 to 300)
+            masks, canonical = _dense_masks(n, tokens)
         else:
-            masks = _masks_per_edge(n, map(_vertex_ids(n).__getitem__, tokens))
-    except (KeyError, ValueError):  # not a vertex name, or too long
+            masks = _masks_per_edge(n, map(int, tokens))
+    except (IndexError, KeyError, ValueError):  # out of range, not a name, too long
         return None
     if any(mask >> u & 1 for u, mask in enumerate(masks)):
         return None  # a self-loop

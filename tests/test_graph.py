@@ -3,7 +3,7 @@ import random
 import time
 import tracemalloc
 from functools import reduce
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 from operator import or_
 from pathlib import Path
 
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import wtoll as w
 from wtoll import Graph, GraphParseError
 from wtoll.graph import (
-    _NOT_PLAIN_LINE,
     MAX_VERTICES,
     _is_bare_edge_list,
     _g6_encode_size,
@@ -99,32 +98,35 @@ FALLBACK_CASES = [
     "20 1\n12 \n",
     "20 1\n 12\n",
     "4 2\n0\x0b1\n1 2\n",  # \v
+    "4 1\n0 99999999999999\n",  # an endpoint far above n
+    "4 1\n99999999999999 0\n",
 ]
 
-# Text the bulk read takes
+# Valid text and the branch that reads it: bare text below 16 tokens per
+# vertex is read per edge, but n = 0 has no vertex, so the rows read it;
+# blanks, tabs and blank lines take the line loop
 BULK_CASES = [
-    "5 0",  # header only
-    "5 0\n",
-    "\n\n5 0\n\n",
-    "4 3\n0 1\n1 2\n2 3",  # no final newline
-    "4 3 \n0 1  \n\t1\t2\t\n  2 3 ",  # trailing and leading blanks
-    "4 3\n\n0 1\n \n1 2\n\t\n2 3\n\n",
-    "3 1\n2 0\n0 2\n",
-    "0 0\n",
-    "8 2\n007 1\n1 2\n",  # leading zeros
-    "8 2\n7 1\n007 1\n",  # one vertex spelled two ways
-    f"{MAX_VERTICES} 1\n0 {MAX_VERTICES - 1}\n",
-    "4 2\n0\t1\n1\t2\n",
-    "0 0",
+    ("5 0", "per-edge"),  # header only
+    ("5 0\n", "per-edge"),
+    ("\n\n5 0\n\n", "lines"),
+    ("4 3\n0 1\n1 2\n2 3", "per-edge"),  # no final newline
+    ("4 3 \n0 1  \n\t1\t2\t\n  2 3 ", "lines"),  # trailing and leading blanks
+    ("4 3\n\n0 1\n \n1 2\n\t\n2 3\n\n", "lines"),
+    ("3 1\n2 0\n0 2\n", "per-edge"),
+    ("0 0\n", "rows"),
+    ("8 2\n007 1\n1 2\n", "per-edge"),  # leading zeros
+    ("8 2\n7 1\n007 1\n", "per-edge"),  # one vertex spelled two ways
+    (f"{MAX_VERTICES} 1\n0 {MAX_VERTICES - 1}\n", "per-edge"),
+    ("4 2\n0\t1\n1\t2\n", "lines"),
+    ("0 0", "rows"),
 ]
 
 
 def _with_many_tokens(text):
     """``text`` with 4n "0 1" lines after its header line, so that the
     bulk read meets at least 8 tokens per vertex, but under 16, and
-    looks each distinct token up instead of converting every one or
-    reading rows; None unless the header starts with an n from 2 to
-    100."""
+    still reads bare text per edge, not by rows; None unless the header
+    starts with an n from 2 to 100."""
     lines = text.split("\n")
     for i, line in enumerate(lines):
         parts = line.split()
@@ -141,21 +143,21 @@ def _with_many_tokens(text):
 @pytest.fixture
 def bulk_branches(monkeypatch):
     """The branches edge-list parses take, in order: "rows" for the rows
-    and their transposition, "lookup" for a table lookup per token,
-    "convert" for one conversion per token, and "lines" for the line
-    loop, which also decides what a bulk branch refuses."""
+    and their transposition, "per-edge" for one conversion per token, and
+    "lines" for the line loop, which also decides what a bulk branch
+    refuses."""
     import wtoll.graph
 
     taken = []
     dense_masks, masks_per_edge = wtoll.graph._dense_masks, wtoll.graph._masks_per_edge
     parse_lines = wtoll.graph._parse_edge_list_lines
 
-    def rows(n, tokens, bare):
+    def rows(n, tokens):
         taken.append("rows")
-        return dense_masks(n, tokens, bare)
+        return dense_masks(n, tokens)
 
     def per_edge(n, ids):
-        taken.append("convert" if isinstance(ids, list) else "lookup")
+        taken.append("per-edge")
         return masks_per_edge(n, ids)
 
     def lines(text):
@@ -215,40 +217,42 @@ class TestParseEdgeList:
     def test_fallback_matches_reference(self, text):
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
 
-    @pytest.mark.parametrize("text", BULK_CASES)
-    def test_bulk_path_matches_reference(self, bulk_branches, text):
+    @pytest.mark.parametrize("text, branch", BULK_CASES)
+    def test_bulk_path_matches_reference(self, bulk_branches, text, branch):
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
-        # below 8 tokens per vertex every token is converted; n = 0 has
-        # no vertex, so the rows read it
-        assert bulk_branches == (["rows"] if text.split()[0] == "0" else ["convert"])
+        assert bulk_branches == [branch]
 
     @pytest.mark.parametrize(
         "text",
-        [t for t in map(_with_many_tokens, FALLBACK_CASES + BULK_CASES) if t is not None],
+        [
+            t
+            for t in map(_with_many_tokens, FALLBACK_CASES + [t for t, _ in BULK_CASES])
+            if t is not None
+        ],
     )
     def test_many_tokens_match_reference(self, bulk_branches, text):
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
-        assert bulk_branches in (["lines"], ["lookup"], ["lookup", "lines"])
+        assert bulk_branches in (["lines"], ["per-edge"], ["per-edge", "lines"])
+
+    @pytest.mark.parametrize("text", ["4 1\n0 99999999999999\n", "4 1\n99999999999999 0\n"])
+    def test_far_endpoint_is_refused_before_any_shift(self, bulk_branches, text):
+        # 1 << 99999999999999 would take about 12 TB; the per-edge read
+        # loads both masks first, so the id fails as an index and the line
+        # loop names the line
+        with pytest.raises(GraphParseError, match="line 2: vertex out of range") as exc:
+            w.parse_edge_list(text)
+        assert exc.value.line == 2
+        assert bulk_branches == ["per-edge", "lines"]
 
     def test_shape_check_is_line_local(self):
         # a long plain file with a bad last line: the check for a bad line
-        # neither backtracks across lines nor keeps state per line
+        # does not backtrack across lines
         text = "3 2\n" + "0 1\n1 2\n" * 10_000 + "2\n"
-        tracemalloc.start()
-        try:
-            t0 = time.perf_counter()
-            with pytest.raises(GraphParseError, match="line 20002: expected two integers"):
-                w.parse_edge_list(text)
-            elapsed = time.perf_counter() - t0
-            plain = text[:-2]
-            held, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            assert _NOT_PLAIN_LINE.search(plain) is None
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        t0 = time.perf_counter()
+        with pytest.raises(GraphParseError, match="line 20002: expected two integers"):
+            w.parse_edge_list(text)
+        elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
-        assert peak - held < 10_000
 
     def test_vertex_limit(self):
         assert w.parse_edge_list(f"{MAX_VERTICES} 0\n0 1\n").n == MAX_VERTICES
@@ -327,8 +331,8 @@ class TestParseEdgeList:
         assert _is_bare_edge_list(text.encode()) is bare
 
     def test_header_only_file_allocates_no_name_table(self):
-        # a header-only file is below 16 tokens per vertex, so every token
-        # is converted and no table of n vertex names is built
+        # a header-only file is below 16 tokens per vertex, so it is read
+        # per edge and no table of n vertex names is built
         text = f"{MAX_VERTICES} 0\n"
         w.parse_edge_list(text)
         tracemalloc.start()
@@ -388,8 +392,6 @@ class TestEdgeListLayouts:
     @given(edge_list_layouts())
     def test_same_graph_and_fingerprint(self, case):
         g, text = case
-        # every layout stays on the bulk read
-        assert _NOT_PLAIN_LINE.search(text) is None
         got = w.parse_edge_list(text)
         assert got == g and got.m == g.m
         assert got.fingerprint() == g.fingerprint() == reference_fingerprint(g)
@@ -400,10 +402,13 @@ def _first_edges(n, k):
     return f"{n} {k}\n" + "".join(f"{u} {v}\n" for u, v in islice(combinations(range(n), 2), k))
 
 
-def _padded(text, length):
-    """``text`` with blank lines added up to ``length`` characters."""
-    assert len(text) <= length
-    return text + "\n" * (length - len(text))
+def _lengthened(text, length):
+    """``text`` with repeated edge lines "0 10" and "0 1" added up to
+    ``length`` characters, so that it stays bare."""
+    extra = length - len(text)
+    tens = extra % 4  # 5 * tens + 4 * ones == extra
+    assert extra >= 5 * tens
+    return text + "0 10\n" * tens + "0 1\n" * ((extra - 5 * tens) // 4)
 
 
 # n = 1000 with 8,000 edge lines (16 tokens per vertex), short of n²/2
@@ -413,25 +418,24 @@ _LONG_ROWS = "1000 8000\n" + "".join(f"{i % 1000} {(7 * i + 1) % 1000}\n" for i 
 
 class TestBulkBranches:
     """Each bulk branch is pinned with its own inputs, on both sides of
-    each switch: rows from 16 tokens per vertex with n² at most twice the
-    text length, else a table lookup per token from 8 tokens per vertex,
-    else a conversion per token."""
+    the switch: bare text is read by rows from 16 tokens per vertex with
+    n² at most twice the text length, else per edge."""
 
     @pytest.mark.parametrize(
         "text, branch",
         [
             pytest.param(_first_edges(64, 512), "rows", id="16n tokens"),
-            pytest.param(_first_edges(64, 511), "lookup", id="16n - 2 tokens"),
-            pytest.param(_first_edges(64, 256), "lookup", id="8n tokens"),
-            pytest.param(_first_edges(64, 255), "convert", id="8n - 2 tokens"),
-            pytest.param(_first_edges(3, 0), "convert", id="header only"),
-            pytest.param(_padded(_LONG_ROWS, 500_000), "rows", id="n² = 2 len"),
-            pytest.param(_padded(_LONG_ROWS, 499_999), "lookup", id="n² = 2 len + 2"),
+            pytest.param(_first_edges(64, 511), "per-edge", id="16n - 2 tokens"),
+            pytest.param(_first_edges(64, 256), "per-edge", id="8n tokens"),
+            pytest.param(_first_edges(64, 255), "per-edge", id="8n - 2 tokens"),
+            pytest.param(_first_edges(3, 0), "per-edge", id="header only"),
+            pytest.param(_lengthened(_LONG_ROWS, 500_000), "rows", id="n² = 2 len"),
+            pytest.param(_lengthened(_LONG_ROWS, 499_999), "per-edge", id="n² = 2 len + 2"),
             pytest.param("0 0\n", "rows", id="n = 0"),
             pytest.param("2 1\n" + "0 1\n1 0\n" * 8, "rows", id="n = 2, 16n tokens"),
-            pytest.param("2 1\n" + "0 1\n1 0\n" * 7 + "0 1\n", "lookup", id="n = 2, 16n - 2"),
-            pytest.param("2 1\n" + "0 1\n1 0\n" * 4, "lookup", id="n = 2, 8n tokens"),
-            pytest.param("2 1\n" + "0 1\n1 0\n" * 3 + "0 1\n", "convert", id="n = 2, 8n - 2"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 7 + "0 1\n", "per-edge", id="n = 2, 16n - 2"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 4, "per-edge", id="n = 2, 8n tokens"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 3 + "0 1\n", "per-edge", id="n = 2, 8n - 2"),
         ],
     )
     def test_branch_at_each_switch(self, bulk_branches, text, branch):
@@ -529,9 +533,9 @@ class TestDenseBranchParity:
             bulk_branches.clear()
         assert rows >= 75  # most draws are read by rows
 
-    def test_random_lookup_texts(self, bulk_branches):
-        # texts the table lookup reads: 8 to 15 tokens per vertex, or
-        # from 16 with n² above twice the text length
+    def test_random_per_edge_texts(self, bulk_branches):
+        # texts read per edge: 8 to 15 tokens per vertex, or from 16 with
+        # n² above twice the text length; a padded id is converted there
         rng = random.Random(25)
         for i in range(150):
             if i % 3:
@@ -553,25 +557,18 @@ class TestDenseBranchParity:
                 u = rng.randrange(n)
                 bad = rng.choice((f"{u} {u}", f"{u} {n + rng.randrange(3)}", f"{n} {u}"))
                 lines.insert(rng.randrange(len(lines)), bad)
-            padded = rng.random() < 0.3
-            if padded:
+            if rng.random() < 0.3:
                 lines = [" ".join("0" + x for x in line.split()) for line in lines]
             text = _text(head, lines)
             error = assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
-            assert bulk_branches == (["lookup", "lines"] if error or padded else ["lookup"])
+            assert bulk_branches == (["per-edge", "lines"] if error else ["per-edge"])
             bulk_branches.clear()
 
 
 class TestBulkReadMemory:
-    def test_sparse_text_with_a_large_n_builds_no_rows(self, monkeypatch, bulk_branches):
+    def test_sparse_text_with_a_large_n_builds_no_rows(self, bulk_branches):
         # no table of vertex names, no powers of two and no transposition
         # is made below the switch, however large n is
-        import wtoll.graph
-
-        def no_table(n):
-            raise AssertionError(f"a table of {n} vertex names was built")
-
-        monkeypatch.setattr(wtoll.graph, "_vertex_ids", no_table)
         text = f"{MAX_VERTICES} 3\n0 1\n1 2\n5 {MAX_VERTICES - 1}\n"
         w.parse_edge_list(text)
         tracemalloc.start()
@@ -589,7 +586,7 @@ class TestBulkReadMemory:
         random.Random(1).shuffle(perm)
         path = f"{n} {n - 1}\n" + "".join(f"{perm[i]} {perm[i + 1]}\n" for i in range(n - 1))
         assert w.parse_edge_list(path).m == n - 1
-        assert bulk_branches == ["convert"] * 3
+        assert bulk_branches == ["per-edge"] * 3
 
     @staticmethod
     def parse_peak(text):
@@ -612,13 +609,15 @@ class TestBulkReadMemory:
         assert bulk_branches == ["rows", "rows"]
         assert peak < 20 * len(text)
 
-    def test_lookup_parse_peak_within_20_times_the_text(self, bulk_branches):
-        # 16.1 tokens per vertex, above the rows switch, but n² is over
-        # twice the text length, so each token is looked up; 16.4 times
-        # the text was measured, most of it the token list
-        text = w.to_edge_list(w.gnp_graph(1000, 0.016, seed=5))
+    @pytest.mark.parametrize("p", [0.008, 0.016])
+    def test_per_edge_parse_peak_within_20_times_the_text(self, bulk_branches, p):
+        # 8.15 and 16.1 tokens per vertex; at 16.1 n² is over twice the
+        # text length, so both are read per edge. 17.3 and 15.0 times the
+        # text were measured, most of it the token list (20.1 and 16.4
+        # with the ids listed first or looked up in a table of names)
+        text = w.to_edge_list(w.gnp_graph(1000, p, seed=5))
         peak = self.parse_peak(text)
-        assert bulk_branches == ["lookup", "lookup"]
+        assert bulk_branches == ["per-edge", "per-edge"]
         assert peak < 20 * len(text)
 
 
@@ -630,47 +629,22 @@ def _row_graph(n, row, clique_from):
 
 
 class TestFingerprintMatchesReference:
-    """``Graph.fingerprint`` builds a dense row as one segment and a sparse
-    one per edge; both must give the reference's payload."""
+    """``Graph.fingerprint`` joins one segment per edge; it must give the
+    reference's payload on sparse, dense and partly full rows."""
 
     @pytest.mark.parametrize(
-        "k, top, dense",
-        [
-            (8, 127, True),  # 16k = 128 against a bit length of 127
-            (8, 128, True),  # at the switch
-            (8, 129, False),
-            (7, 100, False),  # one neighbor short of the minimum
-            (9, 144, True),
-            (9, 145, False),
-            (299, 299, True),
-        ],
+        "k, top",
+        [(8, 127), (8, 128), (8, 129), (7, 100), (9, 144), (9, 145), (299, 299)],
     )
-    def test_rows_at_the_density_switch(self, monkeypatch, k, top, dense):
-        # row 0 has k neighbors, the highest at ``top``, so its bit length
-        # is ``top``; the clique on 200..299 (4,950 edges) puts the graph
-        # above 8n edges, where rows are tested one by one
-        import wtoll.graph
-
+    def test_one_row_beside_a_clique(self, k, top):
+        # row 0 has k neighbors, the highest at ``top``; the clique on
+        # 200..299 (4,950 edges) makes the other rows full
         row = [top] + random.Random(top).sample(range(1, top), k - 1)
         g = _row_graph(300, row, 200)
-        lengths = []
-
-        def counting(data, selector):
-            lengths.append(len(data))
-            return compress(data, selector)
-
-        monkeypatch.setattr(wtoll.graph, "compress", counting)
         assert g.fingerprint() == reference_fingerprint(g)
-        assert (299 in lengths) is dense  # row 0 selects from names[1:]
 
-    def test_sparse_graph_lists_every_row_per_edge(self, monkeypatch):
-        # a star has a full row 0 but fewer than 8n edges, so no row is
-        # tested and none is compressed
-        import wtoll.graph
-
+    def test_star(self):
         g = w.star_graph(300)
-        monkeypatch.setattr(wtoll.graph, "compress", None)
-        assert g.m < 8 * g.n
         assert g.fingerprint() == reference_fingerprint(g)
 
     # n = 0, 1 and 2 are here too, K_2 minus its matching being two
@@ -694,7 +668,6 @@ class TestFingerprintMatchesReference:
 
     def test_isolated_vertices(self):
         rng = random.Random(6)
-        # below 8n edges, listed per edge; above it, row by row
         for n, p in ((60, 0.5), (300, 0.5), (300, 0.9)):
             h = w.gnp_graph(n, p, seed=n)
             # spread the vertices over 0..2n-1, leaving n of them isolated
@@ -729,9 +702,9 @@ def _rows_swapped(lines):
 
 class TestTextFingerprint:
     """Canonical text read by rows stores its hash, one sha256 of the
-    text; every other bare text read by rows stores nothing. Either way
-    ``fingerprint()`` gives the reference's hash and a ``_from_masks``
-    copy's, which is built from the masks."""
+    text; every other text stores nothing. Either way ``fingerprint()``
+    gives the reference's hash and a ``_from_masks`` copy's, which is
+    built from the masks."""
 
     @staticmethod
     def check(text, stored):
@@ -775,20 +748,19 @@ class TestTextFingerprint:
         assert bulk_branches == ["rows", "rows"]
 
     def test_text_that_is_not_bare_stores_nothing(self, bulk_branches):
-        # tabs take the regex check, and text it admits is never proved canonical
+        # tabs take the line loop, which never proves text canonical
         text = _text(_HEAD, _LINES).replace(" ", "\t")
         self.check(text, stored=False)
-        assert bulk_branches == ["rows"]
+        assert bulk_branches == ["lines"]
 
-    def test_canonical_text_builds_no_row(self, monkeypatch):
+    def test_canonical_text_builds_no_payload(self, monkeypatch):
         import wtoll.graph
 
-        def no_row(*args):
-            raise AssertionError("fingerprint() built a row")
+        def no_payload(*args):
+            raise AssertionError("fingerprint() listed the edges")
 
         g = w.parse_edge_list(_text(_CI_HEAD, _CI_LINES))
-        monkeypatch.setattr(wtoll.graph, "compress", no_row)
-        assert g.m >= 8 * g.n  # so a computed hash would compress its rows
+        monkeypatch.setattr(wtoll.graph, "bits", no_payload)
         assert g.fingerprint() == _CI_HASH
 
     def test_a_computed_hash_is_stored(self):
