@@ -11,12 +11,13 @@ has three mutable slots, all memos: ``_pair_cache``, filled by
 atom decomposition (:func:`wtoll.atoms.decompose`), the extreme set
 (:func:`wtoll.intervals.extreme_vertices`) and the report hash
 (:meth:`Graph.fingerprint`, which the edge-list reader stores itself when
-it proves its text canonical), all immutable values, and ``_connected``
-is set by ``_require_connected`` once the graph has passed it, so the
-functions defined only on connected graphs search it once between them.
-Every other function here is pure. Bare edge-list text is read in bulk,
-by rows or per edge (:func:`parse_edge_list`), and any other text by a
-line loop that names the first bad line.
+its rows read the text), all immutable values, and ``_connected`` is set
+by ``_require_connected`` once the graph has passed it, so the functions
+defined only on connected graphs search it once between them. Every
+other function here is pure. Canonical edge lines are made in one
+place, :func:`_edge_lines`, which the writer and the report hash share.
+The edge-list reader reads only them by rows, other bare text per edge,
+and any other text by a line loop that names the first bad line.
 """
 
 from __future__ import annotations
@@ -107,11 +108,6 @@ def component_mask(masks: Sequence[int], allowed: int, start: int) -> int:
     return comp
 
 
-def _payload_hash(payload: bytes) -> str:
-    """The report hash of a fingerprint payload (:meth:`Graph.fingerprint`)."""
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 class Graph:
     """Finite simple undirected graph with vertices 0..n-1."""
 
@@ -179,25 +175,15 @@ class Graph:
         """Stable short hash of the adjacency structure.
 
         The sha256 prefix of ``"n;u,v;u,v;..."`` over :meth:`edges` in
-        order, made once per graph and stored in ``_derived``. The
-        edge-list reader stores it first when it proves its text canonical
-        (:func:`_dense_masks`): the text after the header is then that
-        payload with ``","`` and ``";"`` written as ``" "`` and ``"\\n"``.
-        Otherwise the payload is joined here from one ``"u,v"`` segment per
-        edge, with each vertex's name made once, not formatted per edge.
+        order (:func:`_text_hash` of :func:`_edge_lines`), made once per
+        graph and stored in ``_derived``. The edge-list reader stores it
+        first when its rows read the text (:func:`_dense_masks`), which is
+        then these lines.
         """
         stored = self._derived.get("fingerprint")
         if stored is not None:
             return stored
-        names = list(map(str, range(self.n)))
-        heads = [name + "," for name in names]
-        segments = [
-            heads[u] + names[v]
-            for u, mask in enumerate(self._masks)
-            for v in bits(mask >> (u + 1) << (u + 1))  # the neighbors above u
-        ]
-        payload = f"{self.n};" + ";".join(segments)
-        fp = self._derived["fingerprint"] = _payload_hash(payload.encode())
+        fp = self._derived["fingerprint"] = _text_hash(self.n, _edge_lines(self).encode())
         return fp
 
     def __eq__(self, other: object) -> bool:
@@ -223,6 +209,27 @@ _DIGITS = b"0123456789"
 # bytes.translate table taking canonical edge lines to the fingerprint
 # payload: "u v\nu v" to "u,v;u,v"
 _PAYLOAD_BYTES = bytes.maketrans(b" \n", b",;")
+
+
+def _edge_lines(g: Graph) -> str:
+    """The canonical edge lines of ``g``: ``"u v"`` per edge of
+    :meth:`Graph.edges`, in its order, joined by ``"\\n"``, with each
+    vertex's name made once, not formatted per edge."""
+    names = list(map(str, range(g.n)))
+    heads = [name + " " for name in names]
+    return "\n".join([
+        heads[u] + names[v]
+        for u, mask in enumerate(g._masks)
+        for v in bits(mask >> (u + 1) << (u + 1))  # the neighbors above u
+    ])
+
+
+def _text_hash(n: int, lines: bytes) -> str:
+    """The report hash of the canonical edge lines ``lines`` of a graph
+    on n vertices (:func:`_edge_lines`): the sha256 prefix of the payload
+    ``"n;u,v;u,v;..."``, which is the lines with ``","`` and ``";"`` for
+    ``" "`` and ``"\\n"``."""
+    return hashlib.sha256(b"%d;" % n + lines.translate(_PAYLOAD_BYTES)).hexdigest()[:16]
 
 
 def _is_bare_edge_list(data: bytes) -> bool:
@@ -269,50 +276,39 @@ def parse_edge_list(text: str) -> Graph:
     return _parse_edge_list_lines(text)
 
 
-def _dense_masks(n: int, tokens: list[bytes]) -> tuple[list[int], bool]:
-    """The neighbor masks of the bare edge lines ``tokens``, by rows, and
-    whether the lines are canonical: in the order and form
-    :func:`to_edge_list` writes them.
+def _dense_masks(n: int, tokens: list[bytes]) -> list[int] | None:
+    """The neighbor masks of the bare edge lines ``tokens``, read by rows,
+    if the lines are canonical (:func:`_edge_lines`); else None.
 
-    Row u is the OR of ``1 << v`` over the lines "u v", and mask v is row
-    v OR column v of the rows. Tokens are looked up in two tables made
-    once with no Python call per entry, ``ids`` and ``powers``
-    (``1 << v``); a token that is not a vertex name as written, such as
-    ``b"007"``, raises ``KeyError``.
-
-    The lines are read in runs that share a first token u, for as long as
-    the runs prove them canonical: each run's head lies above the last
-    one, and its powers of two ascend from above ``1 << u`` with none
-    repeated. The run's row is their sum, which is their OR iff it has as
-    many bits as the run has lines. From the first run that fails (a
-    repeated line, a line "v u", lines out of order) to the end, the lines
-    are ORed into the rows one by one.
+    Row u is the sum of ``1 << v`` over the lines "u v", and mask v is
+    row v OR column v of the rows. Tokens are looked up in one table made
+    with no Python call per entry, ``powers`` (the name of v to
+    ``1 << v``), so a token that is not a name as written, such as
+    ``b"007"``, raises ``KeyError``. The lines are read in runs that
+    share a first token u: each run must lie above the last, and its
+    powers must ascend from above ``1 << u`` with none repeated, their
+    sum having as many bits as the run has lines. A repeated line, a line
+    "v u" or lines out of order fail their run.
     """
-    ids = dict(zip(map(b"%d".__mod__, range(n)), range(n)))
-    powers = dict(zip(ids, map((1).__lshift__, range(n))))
+    powers = dict(zip(map(b"%d".__mod__, range(n)), map((1).__lshift__, range(n))))
     tails = list(map(powers.__getitem__, tokens[1::2]))
     rows = [0] * n
-    start = 0  # the lines before it are canonical and in the rows
-    last = -1
+    start, last = 0, -1  # the lines before start are in the rows
     for head, lines in groupby(islice(tokens, 0, None, 2)):
-        u = ids[head]
+        u = powers[head].bit_length() - 1
         end = start + len(list(lines))
         run = tails[start:end]
         row = sum(run)
         if not (last < u and run[0] >> u > 1 and row.bit_count() == len(run)
                 and run == sorted(run)):
-            break
+            return None
         rows[u] = row
         last, start = u, end
-    heads = islice(tokens, 2 * start, None, 2)
-    for u, bit in zip(map(ids.__getitem__, heads), tails[start:]):
-        rows[u] |= bit
     # Row u as n binary digits holds bit v at index n - 1 - v. With the
     # rows joined from n - 1 down to 0, the digits at n - 1 - v, 2n - 1 - v,
     # ... are bit v of rows n - 1, n - 2, ..., 0: column v, highest first.
     digits = "".join(map(f"{{:0{n}b}}".format, reversed(rows)))
-    masks = [row | int(digits[n - 1 - v::n], 2) for v, row in enumerate(rows)]
-    return masks, start == len(tails)
+    return [row | int(digits[n - 1 - v::n], 2) for v, row in enumerate(rows)]
 
 
 def _masks_per_edge(n: int, ids: Iterable[int]) -> list[int]:
@@ -334,49 +330,43 @@ def _masks_per_edge(n: int, ids: Iterable[int]) -> list[int]:
 def _parse_plain_edge_list(data: bytes) -> Graph | None:
     """Bulk parse of bare text (:func:`_is_bare_edge_list`); None if the
     line loop must decide (a vertex count over the limit, a number too
-    long for ``int``, an endpoint out of range, a self-loop).
+    long for ``int``, a token the rows' table lacks, an endpoint out of
+    range, a self-loop).
 
     Dense text, with at least 16 tokens per vertex and n² at most twice
-    its length, is read by rows (:func:`_dense_masks`): one sum per run of
-    lines that share a first endpoint and one transposition of the rows
-    as binary digits, in place of two shifts and two ORs per edge. The
-    second bound keeps the powers of two (at most n²/16 bytes) and the
-    digits (about 3n² bytes) below the size of the token list. The rows'
-    tables know each id only as :func:`to_edge_list` writes it, so there
-    a zero-padded id sends the text to the line loop. When the rows prove
-    the text canonical, the report hash is taken from the text itself,
-    one sha256 of the lines after the header, and stored in the graph's
-    ``_derived`` for :meth:`Graph.fingerprint`. Other text is read per
-    edge, each token converted by ``int`` as it streams into
-    :func:`_masks_per_edge`, so a sparse file with a large n builds no
-    table of n names.
+    its length, goes to the rows (:func:`_dense_masks`): one sum per run
+    of lines that share a first endpoint and one transposition of the
+    rows as binary digits, in place of two shifts and two ORs per edge.
+    The second bound keeps the powers of two (at most n²/16 bytes) and
+    the digits (about 3n² bytes) below the size of the token list. What
+    the rows read is canonical, so the report hash is one sha256 of the
+    text after the header, stored in ``_derived`` for
+    :meth:`Graph.fingerprint`. Other text is read per edge, each token
+    converted by ``int`` as it streams into :func:`_masks_per_edge`, so a
+    sparse file with a large n builds no table of n names.
     """
     tokens = data.split()  # bytes tokens are smaller than str ones
     head = tokens[:2]
     del tokens[:2]
-    canonical = False
+    rows = None
     try:
         n, _ = map(int, head)
         if n > MAX_VERTICES:
             return None
         if len(tokens) >= 16 * n and n * n <= 2 * len(data):
             # from 16 tokens per vertex, canonical text read by rows skips
-            # the hash's payload build, which costs more than the rows and
-            # the sha256 add; parse plus hash of shuffled text takes 0.81
-            # to 1.01 times as long as per edge (n = 30 to 300)
-            masks, canonical = _dense_masks(n, tokens)
-        else:
-            masks = _masks_per_edge(n, map(int, tokens))
+            # the hash's line build, which costs more than the rows and
+            # the sha256 add
+            rows = _dense_masks(n, tokens)
+        masks = _masks_per_edge(n, map(int, tokens)) if rows is None else rows
     except (IndexError, KeyError, ValueError):  # out of range, not a name, too long
         return None
     if any(mask >> u & 1 for u, mask in enumerate(masks)):
         return None  # a self-loop
     g = Graph._from_masks(n, masks)
-    if canonical:
-        # "n m\nu v\nu v\n" is the payload "n;u,v;u,v" with " " for ","
-        # and "\n" for ";"; the header's own text and the last "\n" drop out
-        lines = data.partition(b"\n")[2].removesuffix(b"\n")
-        g._derived["fingerprint"] = _payload_hash(b"%d;" % n + lines.translate(_PAYLOAD_BYTES))
+    if rows is not None:
+        # the header's own text and the last "\n" drop out
+        g._derived["fingerprint"] = _text_hash(n, data.partition(b"\n")[2].removesuffix(b"\n"))
     return g
 
 
@@ -421,10 +411,12 @@ def to_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:
     Each comment is written as one ``# `` line per piece that
     ``str.splitlines`` (which the parser's line loop also splits by) cuts
     it into, so a line break inside a comment cannot start a data line.
+    The header ``n m`` and the edge lines (:func:`_edge_lines`) follow.
     """
     lines = [f"# {piece}" for c in comments for piece in c.splitlines() or [""]]
     lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    if g.m:
+        lines.append(_edge_lines(g))
     return "\n".join(lines) + "\n"
 
 

@@ -32,10 +32,12 @@
   case tag.
 - The I/O path as a line loop and a bit loop: the edge-list parser that
   collects (u, v) tuples line by line, the graph6 decoder that shifts the
-  whole bitstream once per bit, and the fingerprint over the sorted edge
-  tuples. The library's bulk parsers must return equal graphs and raise
-  the same message at the same line, and its fingerprint must be the same
-  string.
+  whole bitstream once per bit, the fingerprint over the sorted edge
+  tuples and the edge-list writer with one formatted line per edge tuple.
+  The library's bulk parsers must return equal graphs and raise the same
+  message at the same line, its fingerprint must be the same string, and
+  its writer, which shares its edge lines with the fingerprint, the same
+  text.
 - wth as the case analysis over the decomposition's vertex sets, with a
   hull check at each of its exits; the library's version over masks,
   with one check, must return the same value, witness and case tag.
@@ -524,6 +526,16 @@ def reference_parse_edge_list(text):
     if n is None:
         raise GraphParseError("empty input: missing 'n m' header")
     return Graph(n, edges)
+
+
+def reference_to_edge_list(g, comments=()):
+    """The edge-list writer over ``g.edges()``: one ``# `` line per
+    ``splitlines`` piece of each comment, the header ``n m``, one
+    ``u v`` line per edge, and a final newline."""
+    lines = [f"# {piece}" for c in comments for piece in c.splitlines() or [""]]
+    lines.append(f"{g.n} {g.m}")
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
 
 
 def _reference_g6_decode_size(data):

@@ -28,6 +28,7 @@ from _reference import (
     reference_fingerprint,
     reference_parse_edge_list,
     reference_parse_graph6,
+    reference_to_edge_list,
 )
 from _strategies import connected_components, graphs
 
@@ -143,9 +144,9 @@ def _with_many_tokens(text):
 @pytest.fixture
 def bulk_branches(monkeypatch):
     """The branches edge-list parses take, in order: "rows" for the rows
-    and their transposition, "per-edge" for one conversion per token, and
-    "lines" for the line loop, which also decides what a bulk branch
-    refuses."""
+    and their transposition, which read canonical text only and give any
+    other text to "per-edge", one conversion per token, and "lines" for
+    the line loop, which also decides what a bulk branch refuses."""
     import wtoll.graph
 
     taken = []
@@ -418,29 +419,31 @@ _LONG_ROWS = "1000 8000\n" + "".join(f"{i % 1000} {(7 * i + 1) % 1000}\n" for i 
 
 class TestBulkBranches:
     """Each bulk branch is pinned with its own inputs, on both sides of
-    the switch: bare text is read by rows from 16 tokens per vertex with
-    n² at most twice the text length, else per edge."""
+    the switch: bare text goes to the rows from 16 tokens per vertex with
+    n² at most twice the text length, else per edge. The rows read
+    canonical text only, and give the repeated lines below to the
+    per-edge read."""
 
     @pytest.mark.parametrize(
-        "text, branch",
+        "text, branches",
         [
-            pytest.param(_first_edges(64, 512), "rows", id="16n tokens"),
-            pytest.param(_first_edges(64, 511), "per-edge", id="16n - 2 tokens"),
-            pytest.param(_first_edges(64, 256), "per-edge", id="8n tokens"),
-            pytest.param(_first_edges(64, 255), "per-edge", id="8n - 2 tokens"),
-            pytest.param(_first_edges(3, 0), "per-edge", id="header only"),
-            pytest.param(_lengthened(_LONG_ROWS, 500_000), "rows", id="n² = 2 len"),
-            pytest.param(_lengthened(_LONG_ROWS, 499_999), "per-edge", id="n² = 2 len + 2"),
-            pytest.param("0 0\n", "rows", id="n = 0"),
-            pytest.param("2 1\n" + "0 1\n1 0\n" * 8, "rows", id="n = 2, 16n tokens"),
-            pytest.param("2 1\n" + "0 1\n1 0\n" * 7 + "0 1\n", "per-edge", id="n = 2, 16n - 2"),
-            pytest.param("2 1\n" + "0 1\n1 0\n" * 4, "per-edge", id="n = 2, 8n tokens"),
-            pytest.param("2 1\n" + "0 1\n1 0\n" * 3 + "0 1\n", "per-edge", id="n = 2, 8n - 2"),
+            pytest.param(_first_edges(64, 512), ["rows"], id="16n tokens"),
+            pytest.param(_first_edges(64, 511), ["per-edge"], id="16n - 2 tokens"),
+            pytest.param(_first_edges(64, 256), ["per-edge"], id="8n tokens"),
+            pytest.param(_first_edges(64, 255), ["per-edge"], id="8n - 2 tokens"),
+            pytest.param(_first_edges(3, 0), ["per-edge"], id="header only"),
+            pytest.param(_lengthened(_LONG_ROWS, 500_000), ["rows", "per-edge"], id="n² = 2 len"),
+            pytest.param(_lengthened(_LONG_ROWS, 499_999), ["per-edge"], id="n² = 2 len + 2"),
+            pytest.param("0 0\n", ["rows"], id="n = 0"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 8, ["rows", "per-edge"], id="n = 2, 16n tokens"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 7 + "0 1\n", ["per-edge"], id="n = 2, 16n - 2"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 4, ["per-edge"], id="n = 2, 8n tokens"),
+            pytest.param("2 1\n" + "0 1\n1 0\n" * 3 + "0 1\n", ["per-edge"], id="n = 2, 8n - 2"),
         ],
     )
-    def test_branch_at_each_switch(self, bulk_branches, text, branch):
+    def test_branch_at_each_switch(self, bulk_branches, text, branches):
         assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
-        assert bulk_branches == [branch]
+        assert bulk_branches == branches
 
 
 # The header and edge lines of G(40, 0.9) as written: 35 tokens per
@@ -501,12 +504,25 @@ DENSE_CASES = {
 }
 
 
+# The dense cases that are not canonical, with every token the rows look
+# up before their first failing run a vertex name as written: the rows
+# give them to the per-edge read
+_READ_PER_EDGE = {
+    "reversed", "shuffled", "reversed and shuffled", "duplicate both ways",
+    "duplicate of a line", "self-loop", "self-loop last",
+    "one vertex spelled two ways", "n = 1", "n = 2",
+}
+
+
 class TestDenseBranchParity:
-    @pytest.mark.parametrize("text", DENSE_CASES.values(), ids=DENSE_CASES.keys())
-    def test_matches_reference(self, bulk_branches, text):
-        # only the line loop names a bad line or reads a padded id
+    @pytest.mark.parametrize("name, text", DENSE_CASES.items(), ids=DENSE_CASES.keys())
+    def test_matches_reference(self, bulk_branches, name, text):
+        # the per-edge read converts a padded id with int; only the line
+        # loop names a bad line or reads a padded id the rows' table misses
         error = assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
-        assert bulk_branches == (["rows", "lines"] if error or _padded_id(text) else ["rows"])
+        per_edge = name in _READ_PER_EDGE
+        lines = bool(error) or (_padded_id(text) and not per_edge)
+        assert bulk_branches == ["rows"] + ["per-edge"] * per_edge + ["lines"] * lines
 
     def test_random_dense_texts(self, bulk_branches):
         rng = random.Random(21)
@@ -531,7 +547,7 @@ class TestDenseBranchParity:
             assert ("lines" in bulk_branches) == (bool(error) or padded)
             rows += bulk_branches[0] == "rows"
             bulk_branches.clear()
-        assert rows >= 75  # most draws are read by rows
+        assert rows >= 75  # most draws go to the rows first
 
     def test_random_per_edge_texts(self, bulk_branches):
         # texts read per edge: 8 to 15 tokens per vertex, or from 16 with
@@ -629,8 +645,8 @@ def _row_graph(n, row, clique_from):
 
 
 class TestFingerprintMatchesReference:
-    """``Graph.fingerprint`` joins one segment per edge; it must give the
-    reference's payload on sparse, dense and partly full rows."""
+    """``Graph.fingerprint`` hashes one edge line per edge; it must give
+    the reference's payload on sparse, dense and partly full rows."""
 
     @pytest.mark.parametrize(
         "k, top",
@@ -745,7 +761,7 @@ class TestTextFingerprint:
     def test_other_bare_text_stores_nothing(self, bulk_branches, text):
         assert _is_bare_edge_list(text.encode())
         assert self.check(text, stored=False) == w.parse_edge_list(_text(_HEAD, _LINES))
-        assert bulk_branches == ["rows", "rows"]
+        assert bulk_branches == ["rows", "per-edge", "rows"]
 
     def test_text_that_is_not_bare_stores_nothing(self, bulk_branches):
         # tabs take the line loop, which never proves text canonical
@@ -773,7 +789,7 @@ class TestTextFingerprint:
         # run, so the run's sum carries and differs from its OR
         rng = random.Random(27)
         for _ in range(60):
-            n = rng.randint(40, 80)  # at least 23 tokens per vertex, so read by rows
+            n = rng.randint(40, 80)  # at least 23 tokens per vertex, so sent to the rows
             g = w.gnp_graph(n, rng.choice((0.6, 0.8, 1.0)), seed=rng.randrange(10**6))
             head, *lines = w.to_edge_list(g).splitlines()
             k = rng.randrange(len(lines))
@@ -782,8 +798,45 @@ class TestTextFingerprint:
             run = [1 << int(x.split()[1]) for x in lines if x.split()[0] == u]
             assert sum(run) != reduce(or_, run)
             assert self.check(_text(head, lines), stored=False) == g
-            assert bulk_branches == ["rows"]
+            assert bulk_branches == ["rows", "per-edge"]
             bulk_branches.clear()
+
+
+class TestEdgeListWriter:
+    """``to_edge_list`` writes the reference's text byte for byte, with
+    no comment and with one that spans several lines, and the text it
+    writes, read back by the rows, stores the graph's own hash."""
+
+    COMMENTS = [(), ["G(n, p)", "two\nlines\r\nand a third", ""]]
+
+    def check(self, bulk_branches, g):
+        for comments in self.COMMENTS:
+            assert w.to_edge_list(g, comments) == reference_to_edge_list(g, comments)
+        bulk_branches.clear()
+        h = w.parse_edge_list(w.to_edge_list(g))
+        assert h == g
+        if bulk_branches == ["rows"]:
+            assert h._derived["fingerprint"] == g.fingerprint() == reference_fingerprint(g)
+            return True
+        assert "fingerprint" not in h._derived
+        return False
+
+    def test_corpus(self, bulk_branches, corpus):
+        for g in corpus:
+            self.check(bulk_branches, g)
+
+    def test_random_graphs(self, bulk_branches):
+        rng = random.Random(29)
+        rows = 0
+        for _ in range(40):
+            n = rng.randint(2, 300)
+            p = rng.choice((0.02, 0.1, 0.3, 0.6, 0.9, 1.0))
+            rows += self.check(bulk_branches, w.gnp_graph(n, p, seed=rng.randrange(10**6)))
+        assert rows >= 10  # the rows read the denser draws
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless(self, bulk_branches, n):
+        assert self.check(bulk_branches, Graph(n)) is (n == 0)
 
 
 class TestGraph6:
