@@ -11,13 +11,14 @@ has three mutable slots, all memos: ``_pair_cache``, filled by
 atom decomposition (:func:`wtoll.atoms.decompose`), the extreme set
 (:func:`wtoll.intervals.extreme_vertices`) and the report hash
 (:meth:`Graph.fingerprint`, which the edge-list reader stores itself when
-its rows read the text), all immutable values, and ``_connected`` is set
-by ``_require_connected`` once the graph has passed it, so the functions
-defined only on connected graphs search it once between them. Every
-other function here is pure. Canonical edge lines are made in one
+it proves the text canonical), all immutable values, and ``_connected``
+is set by ``_require_connected`` once the graph has passed it, so the
+functions defined only on connected graphs search it once between them.
+Every other function here is pure. Canonical edge lines are made in one
 place, :func:`_edge_lines`, which the writer and the report hash share.
-The edge-list reader reads only them by rows, other bare text per edge,
-and any other text by a line loop that names the first bad line.
+The edge-list reader reads dense canonical text by rows, other bare text
+per edge, proving its order as it goes, and any other text by a line
+loop that names the first bad line.
 """
 
 from __future__ import annotations
@@ -177,8 +178,9 @@ class Graph:
         The sha256 prefix of ``"n;u,v;u,v;..."`` over :meth:`edges` in
         order (:func:`_text_hash` of :func:`_edge_lines`), made once per
         graph and stored in ``_derived``. The edge-list reader stores it
-        first when its rows read the text (:func:`_dense_masks`), which is
-        then these lines.
+        first when it proves the text to be these lines, by rows
+        (:func:`_dense_masks`) or per edge (:func:`_masks_per_edge` and
+        :func:`_zero_padded`); then no line is built from the masks.
         """
         stored = self._derived.get("fingerprint")
         if stored is not None:
@@ -262,10 +264,12 @@ def parse_edge_list(text: str) -> Graph:
     self-loops are a hard error, and so is ``n`` above :data:`MAX_VERTICES`.
 
     Bare text, the "u v\n" lines of plain decimal ids :func:`to_edge_list`
-    writes (:func:`_is_bare_edge_list`), is read in bulk. Anything else
-    (comments, blank lines, tabs, runs of blanks, other whitespace, signs,
-    a bad line) goes through the line loop, which reports the first bad
-    line by number; so does text the bulk read refuses.
+    writes (:func:`_is_bare_edge_list`), is read in bulk, and when its
+    edge lines are the graph's own (:func:`_edge_lines`) the report hash
+    is taken from the text and stored. Anything else (comments, blank
+    lines, tabs, runs of blanks, other whitespace, signs, a bad line) goes
+    through the line loop, which reports the first bad line by number and
+    stores no hash; so does text the bulk read refuses.
     """
     if text.isascii():
         data = text.encode("ascii")
@@ -311,20 +315,47 @@ def _dense_masks(n: int, tokens: list[bytes]) -> list[int] | None:
     return [row | int(digits[n - 1 - v::n], 2) for v, row in enumerate(rows)]
 
 
-def _masks_per_edge(n: int, ids: Iterable[int]) -> list[int]:
-    """The neighbor masks of the edges (ids[0], ids[1]), (ids[2], ids[3]), ...
+def _masks_per_edge(n: int, ids: Iterable[int]) -> tuple[list[int], bool]:
+    """The neighbor masks of the edges (ids[0], ids[1]), (ids[2], ids[3]), ...,
+    and whether those edges are in canonical order (:func:`_edge_lines`).
 
     Both masks of an edge are loaded before either shift, so an id at or
     above n raises ``IndexError`` before ``1 << id`` is made: a stray id
     such as 10**14 would otherwise ask for a 12 TB integer.
+
+    The order is proved as the edges stream, with no list of ids: an edge
+    (u, v) keeps it iff u is at least the previous edge's u, v > u, and
+    u's mask so far is below ``1 << v``. Its bits below u come from edges
+    (w, u) with w < u; one at v or above would be an earlier edge (u, v')
+    with v' >= v, so a repeated edge, an edge written (v, u) and two edges
+    out of order each break it.
     """
     masks = [0] * n
     pairs = iter(ids)
+    last = 0
+    ordered = True
     for u, v in zip(pairs, pairs):
         mu, mv = masks[u], masks[v]
-        masks[u] = mu | 1 << v
+        bit = 1 << v
+        if mu >= bit or not last <= u < v:
+            ordered = False
+        masks[u] = mu | bit
         masks[v] = mv | 1 << u
-    return masks
+        last = u
+    return masks, ordered
+
+
+# bytes.translate table for the zero-padding test of per-edge text: every
+# nonzero digit to "1" and the space to "\n", so a name written with a
+# leading zero reads "\n00" or "\n01" (or starts the text so)
+_PADDING_BYTES = bytes.maketrans(b"123456789 ", b"111111111\n")
+
+
+def _zero_padded(lines: bytes) -> bool:
+    """True iff some name in the bare edge lines ``lines`` has a leading
+    zero (``07``), which canonical text never writes."""
+    flat = lines.translate(_PADDING_BYTES)
+    return flat.startswith((b"00", b"01")) or b"\n00" in flat or b"\n01" in flat
 
 
 def _parse_plain_edge_list(data: bytes) -> Graph | None:
@@ -338,12 +369,16 @@ def _parse_plain_edge_list(data: bytes) -> Graph | None:
     of lines that share a first endpoint and one transposition of the
     rows as binary digits, in place of two shifts and two ORs per edge.
     The second bound keeps the powers of two (at most n²/16 bytes) and
-    the digits (about 3n² bytes) below the size of the token list. What
-    the rows read is canonical, so the report hash is one sha256 of the
-    text after the header, stored in ``_derived`` for
-    :meth:`Graph.fingerprint`. Other text is read per edge, each token
-    converted by ``int`` as it streams into :func:`_masks_per_edge`, so a
-    sparse file with a large n builds no table of n names.
+    the digits (about 3n² bytes) below the size of the token list. Other
+    text is read per edge, each token converted by ``int`` as it streams
+    into :func:`_masks_per_edge`, so a sparse file with a large n builds
+    no table of n names; that loop proves the edge order as it goes.
+
+    What the rows read is canonical, and so is per-edge text in canonical
+    order with no zero-padded name (:func:`_zero_padded`, one translate
+    of the text, run once the token list is freed). For canonical text
+    the report hash is one sha256 of the text after the header, stored
+    in ``_derived`` for :meth:`Graph.fingerprint`.
     """
     tokens = data.split()  # bytes tokens are smaller than str ones
     head = tokens[:2]
@@ -354,19 +389,25 @@ def _parse_plain_edge_list(data: bytes) -> Graph | None:
         if n > MAX_VERTICES:
             return None
         if len(tokens) >= 16 * n and n * n <= 2 * len(data):
-            # from 16 tokens per vertex, canonical text read by rows skips
-            # the hash's line build, which costs more than the rows and
-            # the sha256 add
+            # from 16 tokens per vertex the rows, which read canonical text
+            # only, cost less than two shifts and two ORs per edge
             rows = _dense_masks(n, tokens)
-        masks = _masks_per_edge(n, map(int, tokens)) if rows is None else rows
+        if rows is None:
+            masks, canonical = _masks_per_edge(n, map(int, tokens))
+        else:
+            masks, canonical = rows, True
     except (IndexError, KeyError, ValueError):  # out of range, not a name, too long
         return None
+    del tokens  # before the copies of the text below
     if any(mask >> u & 1 for u, mask in enumerate(masks)):
         return None  # a self-loop
     g = Graph._from_masks(n, masks)
-    if rows is not None:
+    if canonical:
         # the header's own text and the last "\n" drop out
-        g._derived["fingerprint"] = _text_hash(n, data.partition(b"\n")[2].removesuffix(b"\n"))
+        lines = data.partition(b"\n")[2].removesuffix(b"\n")
+        # the rows' table holds no padded name; the per-edge read's int does
+        if rows is not None or not _zero_padded(lines):
+            g._derived["fingerprint"] = _text_hash(n, lines)
     return g
 
 

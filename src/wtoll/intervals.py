@@ -20,8 +20,9 @@ every BFS layer L_0 = {x}, L_1 = N(x), L_2, ... of its component is a
 clique and no layer L_i (i >= 2) holds vertices u != v where v has a
 neighbor in L_{i-1} and one in L_{i+1}, both outside N(u); the proof is
 in :func:`extreme_vertices`. So each vertex costs one bitmask BFS, one
-that is not simplicial stops at its first layer, L_1 = N(x), and the
-true twins of a simplicial vertex take its verdict without a BFS.
+that is not simplicial stops at its first layer, L_1 = N(x), a layer of
+one vertex costs one mask read, and the true twins of a simplicial
+vertex take its verdict without a BFS.
 
 Everything here is pure. Per-pair walk masks are memoized on the Graph
 instance, which makes repeated interval/hull evaluations over overlapping
@@ -226,31 +227,38 @@ def _is_extreme(masks: list[int], x: int) -> bool | None:
     the vertices u of L_i with a neighbor p of v in L_{i-1} outside N(u)
     are L_i minus the intersection of those N(p), which never holds v;
     likewise upwards; x fails iff the two sets meet. At i = 1 they never
-    do, as L_1 lies in N(x), so layer 1 skips that test. Each layer costs
-    one pass over the edges leaving it, and no pair walk mask is made.
+    do, as L_1 lies in N(x), so layer 1 skips that test. N(L_i) lies in
+    L_{i-1}, L_i and L_{i+1}, so the next layer is the layer's reach
+    minus L_{i-1} and L_i, and no set of seen vertices is kept. A layer
+    of one vertex v is a clique and has no two vertices for condition 2,
+    so it costs one mask read: the next layer is N(v) - L_{i-1}. Every
+    layer of a path, a pendant tail or a caterpillar's end is one vertex.
+    Other layers cost one pass over the edges leaving them, and no pair
+    walk mask is made.
     """
     prev, layer = 1 << x, masks[x]
-    seen = prev | layer
     fail = None  # layer 1 is N(x): failing there means x is not simplicial
     while layer:
-        reach = 0
-        for v in bits(layer):
-            if layer & ~(masks[v] | 1 << v):
-                return fail  # condition 1: the layer is not a clique
-            reach |= masks[v]
-        nxt = reach & ~seen
-        if fail is False:  # past layer 1, which lies in N(x)
+        if not layer & (layer - 1):  # one vertex
+            nxt = masks[layer.bit_length() - 1] & ~prev
+        else:
+            reach = 0
             for v in bits(layer):
-                far_down = 0
-                for p in bits(masks[v] & prev):
-                    far_down |= layer & ~masks[p]
-                if far_down:
-                    far_up = 0
-                    for s in bits(masks[v] & nxt):
-                        far_up |= layer & ~masks[s]
-                    if far_down & far_up:
-                        return False  # condition 2: a walk u v p ... x ... p v s
-        seen |= nxt
+                if layer & ~(masks[v] | 1 << v):
+                    return fail  # condition 1: the layer is not a clique
+                reach |= masks[v]
+            nxt = reach & ~(prev | layer)
+            if fail is False:  # past layer 1, which lies in N(x)
+                for v in bits(layer):
+                    far_down = 0
+                    for p in bits(masks[v] & prev):
+                        far_down |= layer & ~masks[p]
+                    if far_down:
+                        far_up = 0
+                        for s in bits(masks[v] & nxt):
+                            far_up |= layer & ~masks[s]
+                        if far_down & far_up:
+                            return False  # condition 2: a walk u v p ... x ... p v s
         prev, layer = layer, nxt
         fail = False
     return True

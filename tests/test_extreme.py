@@ -179,6 +179,73 @@ def test_is_extreme_vertex_reads_the_memoized_set(monkeypatch, corpus):
     assert [[w.is_extreme_vertex(g, x) for x in range(g.n)] for g in graphs] == single
 
 
+def _block_chain(sizes):
+    """Cliques K_s for s in ``sizes``, each sharing one cut vertex with the
+    next; a block of size 2 is a bridge, so a run of them is a path."""
+    edges, start = [], 0
+    for s in sizes:
+        block = range(start, start + s)
+        edges += [(a, b) for a in block for b in block if a < b]
+        start += s - 1
+    return w.Graph(start + 1, edges)
+
+
+def _shuffled_path(n, seed=1):
+    """P_n relabelled at random, and its two ends."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return w.Graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)]), {perm[0], perm[-1]}
+
+
+class TestOneVertexLayers:
+    """A BFS layer of one vertex is a clique with no two vertices for
+    condition 2, so the layer test reads its one mask and walks no bits.
+    Paths, pendant tails and the bridges of a block chain are all such
+    layers."""
+
+    GRAPHS = {
+        **{f"shuffled P_{n}": (lambda n=n: _shuffled_path(n, n)[0]) for n in (2, 3, 7, 60, 200)},
+        **{f"shuffled caterpillar({s}, {k})": (lambda s=s, k=k: shuffled(caterpillar(s, k), s))
+           for s, k in ((1, 1), (2, 1), (20, 1), (30, 2))},
+        "K_5 with a pendant P_60": lambda: shuffled(_block_chain([5] + [2] * 60), 5),
+        "K_5 with pendant paths both sides": lambda: _block_chain([2] * 30 + [5] + [2] * 30),
+        "shuffled chain of 20 K_4": lambda: shuffled(clique_chain(20, 4), 4),
+        "chain of 12 K_5": lambda: clique_chain(12, 5),
+        "bridges between cliques": lambda: shuffled(
+            _block_chain([2, 4, 2, 2, 3, 2, 5, 2, 4, 2]), 6
+        ),
+        "cliques between bridges": lambda: _block_chain([3, 2, 3, 2, 2, 2, 6, 2, 3]),
+        "alternating, 40 blocks": lambda: shuffled(_block_chain([2, 4] * 20), 7),
+    }
+
+    @pytest.mark.parametrize("make", GRAPHS.values(), ids=GRAPHS.keys())
+    def test_matches_reference(self, make):
+        g = make()
+        assert g.n <= 200 and w.is_connected(g)
+        assert w.extreme_vertices(g) == reference_extreme_scan(w.Graph(g.n, g.edges()))
+        fresh = w.Graph(g.n, g.edges())
+        assert {x for x in range(g.n) if w.is_extreme_vertex(fresh, x)} == w.extreme_vertices(g)
+
+    def test_shuffled_p20000_has_its_two_ends(self):
+        g, ends = _shuffled_path(20_000)
+        assert w.extreme_vertices(g) == ends
+        fresh, _ = _shuffled_path(20_000)
+        assert all(w.is_extreme_vertex(fresh, x) for x in ends)
+
+    @pytest.mark.parametrize("n", [3, 12, 90, 300])
+    def test_bits_calls_on_a_shuffled_path(self, monkeypatch, n):
+        # one walk of layer 1 for each inner vertex, which is not
+        # simplicial; one twin scan of N(x) for each end, whose BFS walks
+        # no layer; one for the result. The BFS that walked every layer
+        # made 621 calls on P_90.
+        g, ends = _shuffled_path(n)
+        real = intervals.bits
+        calls = []
+        monkeypatch.setattr(intervals, "bits", lambda m: calls.append(m) or real(m))
+        assert w.extreme_vertices(g) == ends
+        assert len(calls) == n + 1
+
+
 def _elapsed(fn, *args):
     start = time.perf_counter()
     fn(*args)

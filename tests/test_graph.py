@@ -30,7 +30,7 @@ from _reference import (
     reference_parse_graph6,
     reference_to_edge_list,
 )
-from _strategies import connected_components, graphs
+from _strategies import connected_components, graphs, shuffled
 
 DATA = Path(__file__).parent / "data"
 
@@ -617,9 +617,10 @@ class TestBulkReadMemory:
         return peak
 
     def test_dense_parse_peak_within_20_times_the_text(self, bulk_branches):
-        # the token list, about 12 bytes per byte of text, dominates; 16.1
-        # times the text was measured (14.5 before the lines were read in
-        # runs, 13.1 before the rows)
+        # the token list, about 12 bytes per byte of text, dominates; 15.7
+        # times the text was measured (16.1 while the token list outlived
+        # the hash, 14.5 before the lines were read in runs, 13.1 before
+        # the rows)
         text = w.to_edge_list(w.gnp_graph(300, 0.5, seed=1))
         peak = self.parse_peak(text)
         assert bulk_branches == ["rows", "rows"]
@@ -628,8 +629,10 @@ class TestBulkReadMemory:
     @pytest.mark.parametrize("p", [0.008, 0.016])
     def test_per_edge_parse_peak_within_20_times_the_text(self, bulk_branches, p):
         # 8.15 and 16.1 tokens per vertex; at 16.1 n² is over twice the
-        # text length, so both are read per edge. 17.3 and 15.0 times the
-        # text were measured, most of it the token list (20.1 and 16.4
+        # text length, so both are read per edge. 17.1 and 14.9 times the
+        # text were measured with the edge order proved in the mask loop
+        # and the padding test run once the token list is freed, most of
+        # it the token list (17.3 and 15.0 with no proof, 20.1 and 16.4
         # with the ids listed first or looked up in a table of names)
         text = w.to_edge_list(w.gnp_graph(1000, p, seed=5))
         peak = self.parse_peak(text)
@@ -717,8 +720,10 @@ def _rows_swapped(lines):
 
 
 class TestTextFingerprint:
-    """Canonical text read by rows stores its hash, one sha256 of the
-    text; every other text stores nothing. Either way ``fingerprint()``
+    """Dense canonical text, read by rows, stores its hash, one sha256 of
+    the text; dense text that is not canonical, which the rows give to
+    the per-edge read, and text that is not bare store nothing (sparse
+    text: ``TestPerEdgeTextFingerprint``). Either way ``fingerprint()``
     gives the reference's hash and a ``_from_masks`` copy's, which is
     built from the masks."""
 
@@ -802,24 +807,119 @@ class TestTextFingerprint:
             bulk_branches.clear()
 
 
+# A shuffled P_90 as written: 2 tokens per vertex, so read per edge
+_PATH_HEAD, *_PATH_LINES = w.to_edge_list(shuffled(w.path_graph(90), 30)).splitlines()
+
+
+def _padded(lines, k):
+    """``lines`` with a leading zero on the k-th name (two per line)."""
+    tokens = " ".join(lines).split()
+    tokens[k] = "0" + tokens[k]
+    return [" ".join(tokens[i:i + 2]) for i in range(0, len(tokens), 2)]
+
+
+class TestPerEdgeTextFingerprint:
+    """The per-edge read proves the edge order as it streams and tests the
+    text for zero-padded names once: canonical text stores its hash, one
+    sha256 of the text, as the rows do, and every other text stores
+    nothing. Either way ``fingerprint()`` gives the reference's hash."""
+
+    check = staticmethod(TestTextFingerprint.check)
+
+    CANONICAL = {
+        "final newline": _text(_PATH_HEAD, _PATH_LINES),
+        "no final newline": "\n".join([_PATH_HEAD, *_PATH_LINES]),
+        "zero-padded header": _text("090 089", _PATH_LINES),
+    }
+
+    @pytest.mark.parametrize("text", CANONICAL.values(), ids=CANONICAL.keys())
+    def test_canonical_text_stores_the_hash(self, bulk_branches, text):
+        g = self.check(text, stored=True)
+        assert g.n == 90 and bulk_branches == ["per-edge"]
+        assert g.fingerprint() == shuffled(w.path_graph(90), 30).fingerprint()
+
+    NOT_CANONICAL = {
+        "a line repeated in its place": _text(_PATH_HEAD, _PATH_LINES[:5] + _PATH_LINES[4:]),
+        "a line repeated later": _text(_PATH_HEAD, _PATH_LINES + _PATH_LINES[:1]),
+        "a line written v u": _text(
+            _PATH_HEAD, _PATH_LINES[:9] + _flipped(_PATH_LINES[9:10]) + _PATH_LINES[10:]
+        ),
+        "the last line written v u": _text(
+            _PATH_HEAD, _PATH_LINES[:-1] + _flipped(_PATH_LINES[-1:])
+        ),
+        "two lines of one row swapped": _text(_PATH_HEAD, _swapped_in_a_row(_PATH_LINES)),
+        "two rows out of order": _text(_PATH_HEAD, _rows_swapped(_PATH_LINES)),
+        "every name zero-padded": _text(
+            _PATH_HEAD, [" ".join("0" + x for x in line.split()) for line in _PATH_LINES]
+        ),
+        "the first name zero-padded": _text(_PATH_HEAD, _padded(_PATH_LINES, 0)),
+        "a second endpoint zero-padded": _text(_PATH_HEAD, _padded(_PATH_LINES, 41)),
+        "the last name zero-padded, no final newline": "\n".join(
+            [_PATH_HEAD, *_padded(_PATH_LINES, -1)]
+        ),
+        "07-style names": _text(
+            _PATH_HEAD, [" ".join(x.zfill(2) for x in line.split()) for line in _PATH_LINES]
+        ),
+        "0 written 00": _text(
+            _PATH_HEAD, ["0" + x if x.startswith("0 ") else x for x in _PATH_LINES]
+        ),
+    }
+
+    @pytest.mark.parametrize("text", NOT_CANONICAL.values(), ids=NOT_CANONICAL.keys())
+    def test_other_bare_text_stores_nothing(self, bulk_branches, text):
+        assert _is_bare_edge_list(text.encode()) and text != self.CANONICAL["final newline"]
+        assert self.check(text, stored=False) == shuffled(w.path_graph(90), 30)
+        assert bulk_branches == ["per-edge"]
+
+    def test_random_sparse_texts(self, bulk_branches):
+        # a hash is stored exactly when the edge lines are the graph's own
+        rng = random.Random(30)
+        stored = 0
+        for _ in range(300):
+            n = rng.randint(2, 60)
+            g = w.gnp_graph(n, rng.choice((0.03, 0.06, 0.12)), seed=rng.randrange(10**6))
+            head, *lines = w.to_edge_list(g).splitlines()
+            r = rng.random()
+            if r < 0.15 and lines:
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            elif r < 0.3 and len(lines) > 1:
+                k = rng.randrange(len(lines) - 1)
+                lines[k], lines[k + 1] = lines[k + 1], lines[k]
+            elif r < 0.45 and lines:
+                lines = _padded(lines, rng.randrange(2 * len(lines)))
+            elif r < 0.6 and lines:
+                k = rng.randrange(len(lines))
+                lines[k:k + 1] = _flipped(lines[k:k + 1])
+            text = "\n".join([head, *lines]) + "\n" * (rng.random() < 0.7)
+            h = w.parse_edge_list(text)
+            own = w.to_edge_list(h).partition("\n")[2].removesuffix("\n")
+            canonical = "fingerprint" in h._derived
+            assert canonical == ("\n".join(lines) == own)
+            assert h.fingerprint() == reference_fingerprint(h) == reference_fingerprint(g)
+            stored += canonical
+            assert bulk_branches == ["per-edge"]
+            bulk_branches.clear()
+        assert 100 <= stored <= 200  # 128: about 40 % of the texts are left as written
+
+
 class TestEdgeListWriter:
     """``to_edge_list`` writes the reference's text byte for byte, with
     no comment and with one that spans several lines, and the text it
-    writes, read back by the rows, stores the graph's own hash."""
+    writes, read back by either bulk branch, stores the graph's own
+    hash."""
 
     COMMENTS = [(), ["G(n, p)", "two\nlines\r\nand a third", ""]]
 
     def check(self, bulk_branches, g):
+        """Whether the rows read the text back."""
         for comments in self.COMMENTS:
             assert w.to_edge_list(g, comments) == reference_to_edge_list(g, comments)
         bulk_branches.clear()
         h = w.parse_edge_list(w.to_edge_list(g))
         assert h == g
-        if bulk_branches == ["rows"]:
-            assert h._derived["fingerprint"] == g.fingerprint() == reference_fingerprint(g)
-            return True
-        assert "fingerprint" not in h._derived
-        return False
+        assert bulk_branches in (["rows"], ["per-edge"])
+        assert h._derived["fingerprint"] == g.fingerprint() == reference_fingerprint(g)
+        return bulk_branches == ["rows"]
 
     def test_corpus(self, bulk_branches, corpus):
         for g in corpus:
@@ -836,6 +936,8 @@ class TestEdgeListWriter:
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_edgeless(self, bulk_branches, n):
+        # a header alone: n = 0 meets the rows' bounds, the others are read
+        # per edge, and each stores the hash of no lines
         assert self.check(bulk_branches, Graph(n)) is (n == 0)
 
 
