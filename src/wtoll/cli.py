@@ -50,7 +50,7 @@ __all__ = ["main", "entry"]
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     if fmt == "auto":
         fmt = "g6" if path.endswith(".g6") else "el"
     if fmt == "g6":

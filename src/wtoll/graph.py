@@ -16,7 +16,9 @@ is set by ``_require_connected`` once the graph has passed it, so the
 functions defined only on connected graphs search it once between them.
 Every other function here is pure. Canonical edge lines are made in one
 place, :func:`_edge_lines`, which the writer and the report hash share.
-The edge-list reader reads dense canonical text by rows, other bare text
+The edge-list reader knows bare text by its skeleton, one space and one
+``\n`` per line once the digits are deleted, and its split, two tokens
+per line. It reads dense canonical bare text by rows, other bare text
 per edge, proving its order as it goes, and any other text by a line
 loop that names the first bad line.
 """
@@ -234,27 +236,6 @@ def _text_hash(n: int, lines: bytes) -> str:
     return hashlib.sha256(b"%d;" % n + lines.translate(_PAYLOAD_BYTES)).hexdigest()[:16]
 
 
-def _is_bare_edge_list(data: bytes) -> bool:
-    r"""True iff every line of ``data`` is digits, one space, digits, and
-    the lines are split by ``\n`` (the last one may lack it): what
-    :func:`to_edge_list` writes with no comments.
-
-    With the digits deleted (and a last ``\n`` supplied) such text reads
-    ``" \n"`` once per line, and no line starts or ends with its space,
-    so both numbers are there.
-    """
-    body = data.translate(None, _DIGITS)
-    if not data.endswith(b"\n"):
-        body += b"\n"
-    return (
-        body == b" \n" * (len(body) >> 1)
-        and b"\n " not in data
-        and b" \n" not in data
-        and not data.startswith(b" ")
-        and not data.endswith(b" ")
-    )
-
-
 def parse_edge_list(text: str) -> Graph:
     r"""Parse the plain edge-list format.
 
@@ -264,7 +245,7 @@ def parse_edge_list(text: str) -> Graph:
     self-loops are a hard error, and so is ``n`` above :data:`MAX_VERTICES`.
 
     Bare text, the "u v\n" lines of plain decimal ids :func:`to_edge_list`
-    writes (:func:`_is_bare_edge_list`), is read in bulk, and when its
+    writes, is read in bulk (:func:`_parse_plain_edge_list`), and when its
     edge lines are the graph's own (:func:`_edge_lines`) the report hash
     is taken from the text and stored. Anything else (comments, blank
     lines, tabs, runs of blanks, other whitespace, signs, a bad line) goes
@@ -272,11 +253,9 @@ def parse_edge_list(text: str) -> Graph:
     stores no hash; so does text the bulk read refuses.
     """
     if text.isascii():
-        data = text.encode("ascii")
-        if _is_bare_edge_list(data):
-            g = _parse_plain_edge_list(data)
-            if g is not None:
-                return g
+        g = _parse_plain_edge_list(text.encode("ascii"))
+        if g is not None:
+            return g
     return _parse_edge_list_lines(text)
 
 
@@ -359,10 +338,15 @@ def _zero_padded(lines: bytes) -> bool:
 
 
 def _parse_plain_edge_list(data: bytes) -> Graph | None:
-    """Bulk parse of bare text (:func:`_is_bare_edge_list`); None if the
-    line loop must decide (a vertex count over the limit, a number too
-    long for ``int``, a token the rows' table lacks, an endpoint out of
-    range, a self-loop).
+    r"""Bulk parse of bare text, k lines of digits, one space, digits,
+    split by ``\n`` (the last one may lack it); None if the text is not
+    bare or the line loop must decide (a vertex count over the limit, a
+    number too long for ``int``, a token the rows' table lacks, an
+    endpoint out of range, a self-loop).
+
+    With the digits deleted (and a last ``\n`` supplied) bare text reads
+    ``" \n"`` once per line, and its split gives two tokens per line; a
+    line with one number, or none, beside its space gives fewer.
 
     Dense text, with at least 16 tokens per vertex and n² at most twice
     its length, goes to the rows (:func:`_dense_masks`): one sum per run
@@ -380,7 +364,17 @@ def _parse_plain_edge_list(data: bytes) -> Graph | None:
     the report hash is one sha256 of the text after the header, stored
     in ``_derived`` for :meth:`Graph.fingerprint`.
     """
+    skeleton = data.translate(None, _DIGITS)
+    if not data.endswith(b"\n"):
+        skeleton += b"\n"
+    if skeleton != b" \n" * (len(skeleton) >> 1):
+        return None
+    size = len(skeleton)  # two per line, as many as the tokens of bare text
+    del skeleton  # before the token list
+    # the split is made here so that ``del tokens`` below frees the list
     tokens = data.split()  # bytes tokens are smaller than str ones
+    if len(tokens) != size:
+        return None
     head = tokens[:2]
     del tokens[:2]
     rows = None

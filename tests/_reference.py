@@ -37,7 +37,9 @@
   The library's bulk parsers must return equal graphs and raise the same
   message at the same line, its fingerprint must be the same string, and
   its writer, which shares its edge lines with the fingerprint, the same
-  text.
+  text. Bare text, which the library reads in bulk, is the regular
+  language of one-or-more "u v" lines of ASCII digits; the library's
+  skeleton and token count must pick out the same texts.
 - wth as the case analysis over the decomposition's vertex sets, with a
   hull check at each of its exits; the library's version over masks,
   with one check, must return the same value, witness and case tag.
@@ -57,6 +59,7 @@
 """
 
 import hashlib
+import re
 from itertools import combinations
 
 from wtoll.atoms import _DISCONNECTED as _NO_ATOMS, AtomDecomposition, _mcs_m, decompose, is_prime
@@ -526,6 +529,12 @@ def reference_parse_edge_list(text):
     if n is None:
         raise GraphParseError("empty input: missing 'n m' header")
     return Graph(n, edges)
+
+
+def reference_is_bare(text):
+    """True iff ``text`` is bare: lines of ASCII digits, one space and
+    ASCII digits, each ended by ``\n`` but the last, which may lack it."""
+    return re.fullmatch(rb"(\d+ \d+\n)*\d+ \d+\n?", text.encode()) is not None
 
 
 def reference_to_edge_list(g, comments=()):

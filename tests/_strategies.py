@@ -81,6 +81,29 @@ def clique_chain(count, size):
     return w.Graph(count * (size - 1) + 1, edges)
 
 
+def unit_interval_graph(n, seed, max_gap=1.0):
+    """A connected unit interval graph on n vertices, its ids shuffled.
+
+    Points x_0 <= x_1 <= ... on a line, each gap drawn below ``max_gap``
+    (at most 1, so consecutive points are adjacent), and u ~ v iff their
+    points lie less than 1 apart. The unit interval graphs are exactly
+    the proper interval graphs (Roberts 1969).
+    """
+    rng = random.Random(seed)
+    points = [0.0]
+    for _ in range(n - 1):
+        points.append(points[-1] + max_gap * rng.random())
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    for i, x in enumerate(points):
+        for k in range(i + 1, n):
+            if points[k] - x >= 1:
+                break
+            edges.append((perm[i], perm[k]))
+    return w.Graph(n, edges)
+
+
 def shuffled(g, seed):
     """g with its vertices relabelled by a random permutation drawn from ``seed``."""
     rng = random.Random(seed)

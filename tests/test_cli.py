@@ -397,10 +397,11 @@ class TestExitCodes:
         assert (code, out) == (4, "") and "more than 5 candidates" in err
 
 
-def run_python(*args, stdin=None):
-    """Run a fresh interpreter that imports this wtoll."""
+def run_python(*args, stdin=None, **env_vars):
+    """Run a fresh interpreter that imports this wtoll, with ``env_vars``
+    added to its environment."""
     src = str(Path(w.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
@@ -412,8 +413,8 @@ class TestModuleEntry:
     """``python -m wtoll`` runs the command line in a fresh interpreter."""
 
     @staticmethod
-    def run_module(*argv, stdin=None):
-        return run_python("-m", "wtoll", *argv, stdin=stdin)
+    def run_module(*argv, stdin=None, **env_vars):
+        return run_python("-m", "wtoll", *argv, stdin=stdin, **env_vars)
 
     def test_generate_exits_0(self):
         proc = self.run_module("generate", "path", "4")
@@ -434,6 +435,25 @@ class TestModuleEntry:
         proc = self.run_module("twins", "-", "--format", "g6", stdin="A\u00e9\n")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: invalid graph6 character\n"
+
+    def test_file_and_stdin_agree_in_an_ascii_locale(self, tmp_path):
+        # with no locale coercion and no UTF-8 mode the C locale's encoding
+        # is ASCII; a file is read as UTF-8 all the same, so its UTF-8
+        # comment is skipped as it is on stdin
+        text = "# caf\u00e9\n" + w.to_edge_list(w.path_graph(4))
+        path = tmp_path / "cafe.el"
+        path.write_bytes(text.encode("utf-8"))
+        c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        from_file = self.run_module("twins", str(path), **c_locale)
+        from_stdin = self.run_module("twins", "-", stdin=text, **c_locale)
+        reports = []
+        for proc in (from_file, from_stdin):
+            assert (proc.returncode, proc.stderr) == (0, "")
+            report = json.loads(proc.stdout)
+            del report["result"]["ms"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["input"] == {"n": 4, "m": 3, "hash": w.path_graph(4).fingerprint()}
 
     def test_repeated_main_calls_match_fresh_processes(self, tmp_path):
         # main builds its parser once per process; an option given to one

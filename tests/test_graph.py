@@ -15,7 +15,6 @@ import wtoll as w
 from wtoll import Graph, GraphParseError
 from wtoll.graph import (
     MAX_VERTICES,
-    _is_bare_edge_list,
     _g6_encode_size,
     _is_clique_mask,
     _nonadjacent_pairs,
@@ -26,6 +25,7 @@ from wtoll.graph import (
 from _reference import (
     reference_bits,
     reference_fingerprint,
+    reference_is_bare,
     reference_parse_edge_list,
     reference_parse_graph6,
     reference_to_edge_list,
@@ -328,8 +328,37 @@ class TestParseEdgeList:
             ("4 2\n0 1\n# c\n", False),
         ],
     )
-    def test_bare_shape(self, text, bare):
-        assert _is_bare_edge_list(text.encode()) is bare
+    def test_bare_shape(self, bulk_branches, text, bare):
+        # a bulk branch runs first exactly when the text is bare
+        assert reference_is_bare(text) is bare
+        assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+        assert (bulk_branches[0] != "lines") is bare
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "4 2\n0 1\n2 \n",  # a lone number before the space
+            "4 2\n0 1\n 3",  # a lone number after it
+            "4 2\n12 \n 3\n",
+            "4 2\n 1\n0 1\n",
+            "5 \n",  # a lone number on the header
+            " 5\n0 1\n",
+            "4 1\n \n0 1\n",  # a line of one space, which the line loop skips
+            " \n4 1\n0 1",
+            "4 1\n0 1\n \n",
+            "4 2\n0 1\n2 3\n \n",
+        ],
+    )
+    def test_skeleton_without_two_numbers_per_line(self, bulk_branches, text):
+        # the digit-deleted skeleton reads " \n" per line, but a line holds
+        # fewer than two numbers: the token count sends it to the line loop
+        assert not reference_is_bare(text)
+        skeleton = text.encode().translate(None, b"0123456789")
+        if not text.endswith("\n"):
+            skeleton += b"\n"
+        assert skeleton == b" \n" * (len(skeleton) // 2)
+        assert_parses_like_reference(w.parse_edge_list, reference_parse_edge_list, text)
+        assert bulk_branches == ["lines"]
 
     def test_header_only_file_allocates_no_name_table(self):
         # a header-only file is below 16 tokens per vertex, so it is read
@@ -764,7 +793,7 @@ class TestTextFingerprint:
 
     @pytest.mark.parametrize("text", NOT_CANONICAL.values(), ids=NOT_CANONICAL.keys())
     def test_other_bare_text_stores_nothing(self, bulk_branches, text):
-        assert _is_bare_edge_list(text.encode())
+        assert reference_is_bare(text)
         assert self.check(text, stored=False) == w.parse_edge_list(_text(_HEAD, _LINES))
         assert bulk_branches == ["rows", "per-edge", "rows"]
 
@@ -867,7 +896,7 @@ class TestPerEdgeTextFingerprint:
 
     @pytest.mark.parametrize("text", NOT_CANONICAL.values(), ids=NOT_CANONICAL.keys())
     def test_other_bare_text_stores_nothing(self, bulk_branches, text):
-        assert _is_bare_edge_list(text.encode()) and text != self.CANONICAL["final newline"]
+        assert reference_is_bare(text) and text != self.CANONICAL["final newline"]
         assert self.check(text, stored=False) == shuffled(w.path_graph(90), 30)
         assert bulk_branches == ["per-edge"]
 
